@@ -3,15 +3,19 @@
 //! `results/BENCH_soak_matrix.json`.
 //!
 //! Full matrix: 4 traffic profiles × 4 chaos scripts × 3 engines = 48
-//! cells. `--smoke` runs the time-boxed CI subset (2 × 2 × 3 = 12 cells
-//! covering both generator traffic and golden-trace pcap replay, fewer
-//! packets). Every cell derives its RNG from the root seed, so a
+//! cells, then the `long_session` cell: 10⁶ packets through one threaded
+//! engine in 64-packet sessions, with the pool census checked after every
+//! session and the resident set held flat. `--smoke` runs the time-boxed
+//! CI subset (2 × 2 × 3 = 12 cells covering both generator traffic and
+//! golden-trace pcap replay, fewer packets, and a 10⁵-packet
+//! `long_session`). Every cell derives its RNG from the root seed, so a
 //! failing run replays bit-for-bit with `--seed N` (printed on failure).
 //!
 //! Usage: `cargo run --release --bin soak [--smoke] [--seed N] [--packets N] [--shards N]`
 
 use nfp_bench::soak::{
-    run_cell, CellResult, EngineKind, SoakOptions, CHAOS_SCRIPTS, SOAK_CHAIN, TRAFFIC_PROFILES,
+    run_cell, run_long_session, CellResult, EngineKind, LongSessionResult, SoakOptions,
+    CHAOS_SCRIPTS, LONG_SESSION_CHUNK, SOAK_CHAIN, TRAFFIC_PROFILES,
 };
 use std::fmt::Write as _;
 
@@ -104,6 +108,28 @@ fn cell_json(c: &CellResult) -> String {
     j
 }
 
+fn long_session_json(r: &LongSessionResult) -> String {
+    let violations: Vec<String> = r
+        .violations
+        .iter()
+        .map(|v| format!("\"{}\"", json_escape(v)))
+        .collect();
+    format!(
+        "{{\"packets\": {}, \"session_packets\": {LONG_SESSION_CHUNK}, \"sessions\": {}, \
+         \"delivered\": {}, \"dropped\": {}, \"rss_warm_kib\": {}, \"rss_peak_kib\": {}, \
+         \"elapsed_ms\": {:.2}, \"passed\": {}, \"violations\": [{}]}}",
+        r.packets,
+        r.sessions,
+        r.delivered,
+        r.dropped,
+        r.rss_warm_kib,
+        r.rss_peak_kib,
+        r.elapsed.as_secs_f64() * 1e3,
+        r.passed(),
+        violations.join(", ")
+    )
+}
+
 fn main() {
     let (opts, smoke) = parse_args();
     let traffic: &[&str] = if smoke {
@@ -156,8 +182,26 @@ fn main() {
         }
     }
 
+    let long_packets = if smoke { 100_000 } else { 1_000_000 };
+    let long = run_long_session(long_packets, opts.seed);
+    println!(
+        "{:>4}  long_session ({} sessions of {LONG_SESSION_CHUNK}) delivered {} dropped {} \
+         rss {} -> peak {} KiB [{:>7.1} ms, {:.3} Mpps]",
+        if long.passed() { "ok" } else { "FAIL" },
+        long.sessions,
+        long.delivered,
+        long.dropped,
+        long.rss_warm_kib,
+        long.rss_peak_kib,
+        long.elapsed.as_secs_f64() * 1e3,
+        long.packets as f64 / long.elapsed.as_secs_f64() / 1e6
+    );
+    for v in &long.violations {
+        println!("        violation: {v}  (seed {})", opts.seed);
+    }
+
     let passed = cells.iter().filter(|c| c.passed()).count();
-    let all_hold = passed == cells.len();
+    let all_hold = passed == cells.len() && long.passed();
 
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"bench\": \"soak_matrix\",");
@@ -172,19 +216,27 @@ fn main() {
     let _ = writeln!(json, "  \"cells\": [");
     let rendered: Vec<String> = cells.iter().map(cell_json).collect();
     json.push_str(&rendered.join(",\n"));
-    json.push_str("\n  ]\n}\n");
+    json.push_str("\n  ],\n");
+    let _ = writeln!(json, "  \"long_session\": {}", long_session_json(&long));
+    json.push_str("}\n");
 
     std::fs::create_dir_all("results").expect("results dir");
     std::fs::write("results/BENCH_soak_matrix.json", &json).expect("write results");
     println!(
-        "\n{passed}/{} cells passed; wrote results/BENCH_soak_matrix.json",
-        cells.len()
+        "\n{passed}/{} cells passed, long_session {}; wrote results/BENCH_soak_matrix.json",
+        cells.len(),
+        if long.passed() { "passed" } else { "FAILED" }
     );
 
     if !all_hold {
         eprintln!(
-            "soak FAILED: {} cell(s) violated invariants — replay with `soak --seed {}`",
+            "soak FAILED: {} cell(s) violated invariants{} — replay with `soak --seed {}`",
             cells.len() - passed,
+            if long.passed() {
+                ""
+            } else {
+                ", long_session failed"
+            },
             opts.seed
         );
         std::process::exit(1);

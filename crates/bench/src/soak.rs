@@ -10,9 +10,10 @@
 //! census). Every cell is derived from one root seed ([`cell_seed`]), so
 //! any failure replays bit-for-bit with `soak --seed N`.
 //!
-//! The `soak` binary iterates the full matrix and writes
-//! `results/BENCH_soak_matrix.json`; `tests/soak_smoke.rs` runs a small
-//! slice of it in CI.
+//! The `soak` binary iterates the full matrix, then runs the
+//! [`run_long_session`] cell (one engine, many 64-packet sessions), and
+//! writes `results/BENCH_soak_matrix.json`; `tests/soak_smoke.rs` runs a
+//! small slice of it in CI.
 
 use nfp_dataplane::audit::{
     spawn_auditor, AuditConfig, EngineProbe, InvariantReport, LiveAudit, SoakCounts,
@@ -523,6 +524,119 @@ fn run_sharded(
     (counts, swaps, nf_failures, elapsed, live)
 }
 
+/// Packets per session in the [`run_long_session`] cell — the chunk the
+/// autoscaler and the chunked sharded cells feed an engine.
+pub const LONG_SESSION_CHUNK: usize = 64;
+
+/// Packets pushed before the [`run_long_session`] cell takes its RSS
+/// baseline (allocator pools, ring and telemetry buffers all warm).
+pub const LONG_SESSION_WARMUP: u64 = 10_000;
+
+/// Most the resident set may grow past the warm-up baseline.
+pub const LONG_SESSION_RSS_SLACK_KIB: u64 = 1024;
+
+/// Outcome of the long-session cell: one engine, many short sessions.
+#[derive(Debug, Clone)]
+pub struct LongSessionResult {
+    /// Packets pushed through the engine.
+    pub packets: u64,
+    /// Sessions run.
+    pub sessions: u64,
+    /// Packets delivered, summed over sessions.
+    pub delivered: u64,
+    /// Packets dropped (classifier rejects included), summed.
+    pub dropped: u64,
+    /// Resident set after the warm-up, KiB.
+    pub rss_warm_kib: u64,
+    /// Largest resident set seen after the warm-up, KiB.
+    pub rss_peak_kib: u64,
+    /// Wall-clock time of the whole cell.
+    pub elapsed: Duration,
+    /// Broken checks: a session that left pool slots held or did not
+    /// account for every packet, or resident-set growth past the slack.
+    pub violations: Vec<String>,
+}
+
+impl LongSessionResult {
+    /// True when every session left the pool empty and balanced, and the
+    /// resident set stayed flat.
+    pub fn passed(&self) -> bool {
+        self.violations.is_empty()
+    }
+}
+
+/// Resident set size from `/proc/self/statm` (resident pages × 4 KiB
+/// pages), or 0 where it cannot be read.
+fn rss_kib() -> u64 {
+    std::fs::read_to_string("/proc/self/statm")
+        .ok()
+        .and_then(|s| s.split_whitespace().nth(1)?.parse::<u64>().ok())
+        .map_or(0, |pages| pages * 4)
+}
+
+/// The long-session soak cell: push `packets` through **one** threaded
+/// engine in back-to-back [`LONG_SESSION_CHUNK`]-packet sessions of
+/// malformed-share traffic. After every session the pool census must be
+/// zero and the session must account for every packet; past the
+/// [`LONG_SESSION_WARMUP`] the resident set may grow by at most
+/// [`LONG_SESSION_RSS_SLACK_KIB`]. No live probe is attached: a probe
+/// registers one gauge slot per session, which would grow by design.
+pub fn run_long_session(packets: u64, seed: u64) -> LongSessionResult {
+    let config = EngineConfig {
+        probe: None,
+        ..soak_engine_config(&EngineProbe::new(), 1)
+    };
+    let mut engine = Engine::new(program_variants()(0), soak_nfs(), config).expect("engine");
+    let mut traffic = TrafficGenerator::new(TrafficSpec {
+        flows: 64,
+        sizes: SizeDistribution::datacenter(),
+        malformed_fraction: 0.15,
+        seed,
+        ..TrafficSpec::default()
+    });
+    let mut out = LongSessionResult {
+        packets: 0,
+        sessions: 0,
+        delivered: 0,
+        dropped: 0,
+        rss_warm_kib: 0,
+        rss_peak_kib: 0,
+        elapsed: Duration::ZERO,
+        violations: Vec::new(),
+    };
+    let start = Instant::now();
+    while out.packets < packets {
+        let n = LONG_SESSION_CHUNK.min((packets - out.packets) as usize);
+        let report = engine.run(traffic.batch(n));
+        out.packets += n as u64;
+        out.sessions += 1;
+        out.delivered += report.delivered;
+        out.dropped += report.dropped;
+        let balanced = report.injected == report.delivered + report.dropped;
+        if (report.pool_in_use != 0 || !balanced) && out.violations.len() < 16 {
+            out.violations.push(format!(
+                "session {}: pool_in_use {}, injected {}, delivered {}, dropped {}",
+                out.sessions, report.pool_in_use, report.injected, report.delivered, report.dropped
+            ));
+        }
+        if out.packets >= LONG_SESSION_WARMUP {
+            let rss = rss_kib();
+            if out.rss_warm_kib == 0 {
+                out.rss_warm_kib = rss;
+            }
+            out.rss_peak_kib = out.rss_peak_kib.max(rss);
+        }
+    }
+    out.elapsed = start.elapsed();
+    let growth = out.rss_peak_kib.saturating_sub(out.rss_warm_kib);
+    if growth > LONG_SESSION_RSS_SLACK_KIB {
+        out.violations.push(format!(
+            "resident set grew {growth} KiB past the warm-up (slack {LONG_SESSION_RSS_SLACK_KIB} KiB)"
+        ));
+    }
+    out
+}
+
 fn spawn_swap_driver(
     controllers: Vec<nfp_dataplane::EngineController>,
     probe: &Arc<EngineProbe>,
@@ -586,6 +700,23 @@ mod tests {
         assert!(cell.counts.flows_exported > 0, "{:?}", cell.counts);
         assert_eq!(cell.counts.flows_exported, cell.counts.flows_imported);
         assert!(cell.invariants.migration_census);
+    }
+
+    #[test]
+    fn long_session_cell_accounts_every_session() {
+        // The resident-set bound is the bin's to judge: other tests in
+        // this binary allocate concurrently.
+        let r = run_long_session(LONG_SESSION_WARMUP + 2_000, 5);
+        assert_eq!(r.packets, LONG_SESSION_WARMUP + 2_000);
+        assert_eq!(r.sessions, r.packets.div_ceil(LONG_SESSION_CHUNK as u64));
+        assert_eq!(r.delivered + r.dropped, r.packets);
+        assert!(r.dropped > 0, "the malformed share must reject");
+        assert!(r.rss_warm_kib > 0 && r.rss_peak_kib >= r.rss_warm_kib);
+        assert!(
+            r.violations.iter().all(|v| v.starts_with("resident")),
+            "{:?}",
+            r.violations
+        );
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! script inline between `process()` calls.
 
 use crate::audit::EngineProbe;
-use crate::engine::EngineController;
+use crate::swap::EngineController;
 use crate::swap::ReconfigError;
 use nfp_nf::chaos::{PanicAfter, StallOnce};
 use nfp_nf::NetworkFunction;

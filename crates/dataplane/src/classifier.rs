@@ -339,12 +339,14 @@ impl Classifier {
         // keys its per-flow state by the same tuple RSS sharded on.
         // The backend arrival stamp (pcap capture time, raw-socket
         // receive time) survives the fresh admission metadata so trace
-        // timing stays visible downstream; 0 for synthetic traffic.
+        // timing stays visible downstream (0 for synthetic traffic), and
+        // so does the engine's injection stamp the collector times by.
         let meta = Metadata::new(tables.mid, pid, VERSION_ORIGINAL)
             .with_epoch(epoch)
             .with_traced(traced)
             .with_flow(nfp_packet::flow::FlowKey::of(&pkt))
-            .with_ingress_ns(pkt.meta().ingress_ns());
+            .with_ingress_ns(pkt.meta().ingress_ns())
+            .with_inject_ns(pkt.meta().inject_ns());
         pkt.set_meta(meta);
         let r = match pool.insert(pkt) {
             Ok(r) => r,

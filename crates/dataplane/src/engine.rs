@@ -23,26 +23,23 @@
 //! closed-loop in-flight window), which keeps the mesh deadlock-free even
 //! when several stages share one thread.
 //!
-//! **Core-budgeted threading.** Stage tasks are packed onto at most
-//! [`EngineConfig::core_budget`] OS threads ([`crate::exec::plan_groups`])
-//! in pipeline order, optionally pinned ([`EngineConfig::pin_cpus`]). One
-//! engine no longer costs `stages` threads: on a small host (or a many-
-//! shard deployment) the whole pipeline coalesces onto a few
-//! run-to-completion threads instead of oversubscribing the cores.
-//!
-//! **Adaptive idling.** Idle stages back off spin → yield → park
-//! ([`EngineConfig::idle_policy`]); parked threads are woken through the
-//! engine's [`crate::exec::WakeHub`] whenever any stage (or the injector)
-//! makes progress, so an idle engine burns no core while a late burst
-//! still gets service immediately. Merge-order sequencing (§4.3 result
-//! correctness) lives in [`crate::cores::AgentCore`], unchanged.
+//! **Long-lived, core-budgeted threads.** [`Engine::new`] builds the pool,
+//! the ring mesh and at most [`EngineConfig::core_budget`] stage threads
+//! ([`crate::exec::plan_pipeline_groups`]) once. Each `run`/`run_io` is a
+//! session on the live engine: threads wait at a session gate between
+//! sessions, idle within one by spin → yield → park on the engine's
+//! [`crate::exec::WakeHub`], and are joined on drop (DESIGN.md §11
+//! "Engine lifecycle"). Merge-order sequencing (§4.3 result correctness)
+//! lives in [`crate::cores::AgentCore`].
 
 use crate::actions::{Deliver, Msg};
 use crate::classifier::Classifier;
 use crate::cores::{collector, AgentCore, MergerCore, Outcome};
-use crate::ring::{self, Consumer, Producer};
+use crate::exec::{CachePadded, IdlePolicy, Idler, Placement, SessionGate, WakeHub};
+use crate::ring::{self, Consumer, Producer, Stash};
 use crate::runtime::{FailureKind, NfRuntime};
 use crate::stats::{EngineStats, StageStats};
+pub use crate::swap::EngineController;
 use crate::swap::{EpochReport, EpochTally, ProgramHandle, ReconfigError, TablesResolver};
 use crate::telemetry::{Telemetry, TelemetryConfig, TelemetrySnapshot};
 use nfp_nf::{FlowSnapshot, NetworkFunction};
@@ -52,16 +49,13 @@ use nfp_packet::io::{Egress, Ingress, IoError, IoRunStats};
 use nfp_packet::pool::PacketPool;
 use nfp_packet::Packet;
 use nfp_traffic::{LatencyRecorder, LatencySummary};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Burst size for ring drains and emissions (the DPDK sweet spot).
 const BURST: usize = 32;
-
-/// Full-ring retries before a stall is recorded as a backpressure event.
-const RETRY_LIMIT: u32 = 64;
 
 /// Engine configuration.
 #[derive(Debug, Clone)]
@@ -99,17 +93,18 @@ pub struct EngineConfig {
     /// exactly that reason; must be non-zero.
     pub core_budget: usize,
     /// CPUs to pin the stage threads to, round-robin by group index.
-    /// Empty (the default) disables pinning. Every listed CPU must be
-    /// below [`host_parallelism`](crate::exec::host_parallelism).
+    /// Empty (the default) disables pinning: threads are only placed once,
+    /// at spawn. Every listed CPU must be below
+    /// [`host_parallelism`](crate::exec::host_parallelism).
     pub pin_cpus: Vec<usize>,
     /// What an idle stage thread does when a scheduling pass makes no
-    /// progress — see [`IdlePolicy`](crate::exec::IdlePolicy). The
-    /// default backs off spin → yield → park.
+    /// progress — see [`IdlePolicy`]. The default backs off spin → yield
+    /// → park.
     pub idle_policy: crate::exec::IdlePolicy,
-    /// Live audit probe: when set, every run registers a gauge slot on
-    /// it and publishes injected/delivered/dropped/pool/epoch counters
-    /// from the injector loop, so a [`crate::audit`] auditor thread can
-    /// check invariants *during* the run. `None` (the default) costs
+    /// Live audit probe: when set, every session registers a gauge slot
+    /// on it and publishes injected/delivered/dropped/pool/epoch counters
+    /// from the caller's injection loop, so a [`crate::audit`] auditor
+    /// thread can check invariants *during* the run. `None` (the default) costs
     /// nothing on the packet path.
     pub probe: Option<Arc<crate::audit::EngineProbe>>,
     /// Pull size for [`Engine::run_io`] ingress bursts (NIC RX-ring
@@ -330,15 +325,76 @@ impl EngineReport {
     }
 }
 
-/// One per-target output queue of a [`StashSink`]: the ring producer plus
-/// an overflow buffer drained from `off` (so a partial burst push does not
-/// shift the remainder).
-struct TargetQueue {
-    to: Stage,
-    p: Producer<Msg>,
-    buf: Vec<Msg>,
-    off: usize,
-    attempts: u32,
+/// Everything an engine's stage tasks share, built once by [`Engine::new`]
+/// and held by every task through one `Arc`; reset by [`Engine::begin`]
+/// while every stage thread waits at the gate. Fields written on the
+/// packet path sit on cache lines of their own.
+struct StageCtx {
+    pool: CachePadded<PacketPool>,
+    handle: Arc<ProgramHandle>,
+    classifier_stats: StageStats,
+    nf_stats: Vec<StageStats>,
+    agent_stats: StageStats,
+    merger_stats: Vec<StageStats>,
+    collector_stats: StageStats,
+    tele: Telemetry,
+    hub: CachePadded<WakeHub>,
+    gate: SessionGate,
+    /// Last session whose injection ended (the classifier may finish).
+    stop: AtomicU64,
+    /// Last session whose pool drained (every stage may finish): a
+    /// deadline-expired merge accounts its packet while a straggler copy
+    /// may still be in flight toward the merger's tombstone.
+    quiesce: AtomicU64,
+    delivered: CachePadded<AtomicU64>,
+    dropped: CachePadded<AtomicU64>,
+    watch: Vec<NfWatch>,
+    /// Each NF's runtime, parked here between sessions.
+    runtimes: Vec<RtSlot>,
+    /// The collector's delivered rows, handed back at session end.
+    outputs: Mutex<Vec<OutputRow>>,
+    keep_packets: AtomicBool,
+    /// Origin of the injection stamps ([`nfp_packet::Metadata::inject_ns`]).
+    clock: Instant,
+}
+
+impl StageCtx {
+    fn stats(&self, stage: Stage) -> &StageStats {
+        match stage {
+            Stage::Classifier => &self.classifier_stats,
+            Stage::Nf(i) => &self.nf_stats[i],
+            Stage::Agent => &self.agent_stats,
+            Stage::Merger(m) => &self.merger_stats[m],
+            Stage::Collector => &self.collector_stats,
+        }
+    }
+
+    fn all_stats(&self) -> impl Iterator<Item = &StageStats> {
+        [
+            &self.classifier_stats,
+            &self.agent_stats,
+            &self.collector_stats,
+        ]
+        .into_iter()
+        .chain(&self.nf_stats)
+        .chain(&self.merger_stats)
+    }
+
+    fn finished(&self) -> u64 {
+        self.delivered.load(Ordering::Acquire) + self.dropped.load(Ordering::Acquire)
+    }
+
+    fn now_ns(&self) -> u64 {
+        self.clock.elapsed().as_nanos() as u64
+    }
+}
+
+/// One NF's watchdog state: heartbeat, busy flag, failed verdict.
+#[derive(Default)]
+struct NfWatch {
+    hb: AtomicU64,
+    busy: AtomicBool,
+    failed: AtomicBool,
 }
 
 /// Every stage's sink: maps abstract targets onto this stage's ring
@@ -355,100 +411,51 @@ struct TargetQueue {
 /// for a sealed program, but the fallback still releases the reference and
 /// accounts the packet (instead of panicking the stage thread) so the
 /// closed loop terminates even if an invariant is ever violated.
-struct StashSink<'a> {
-    out: Vec<TargetQueue>,
-    stats: &'a StageStats,
-    pool: &'a PacketPool,
-    dropped: &'a AtomicU64,
-    handle: &'a ProgramHandle,
+struct StashSink {
+    ctx: Arc<StageCtx>,
+    from: Stage,
+    out: Vec<(Stage, Stash<Msg>)>,
 }
 
-impl<'a> StashSink<'a> {
-    fn new(
-        targets: Vec<(Stage, Producer<Msg>)>,
-        stats: &'a StageStats,
-        pool: &'a PacketPool,
-        dropped: &'a AtomicU64,
-        handle: &'a ProgramHandle,
-    ) -> Self {
-        StashSink {
-            out: targets
-                .into_iter()
-                .map(|(to, p)| TargetQueue {
-                    to,
-                    p,
-                    buf: Vec::new(),
-                    off: 0,
-                    attempts: 0,
-                })
-                .collect(),
-            stats,
-            pool,
-            dropped,
-            handle,
-        }
-    }
-
+impl StashSink {
     fn send(&mut self, stage: Stage, msg: Msg) {
         // Linear scan: a stage has at most a handful of targets, and the
         // Vec avoids hashing a Stage per message.
-        let Some(q) = self.out.iter_mut().find(|q| q.to == stage) else {
+        let Some((_, q)) = self.out.iter_mut().find(|(to, _)| *to == stage) else {
             // Settle the packet against its stamped epoch before the
             // reference is released (the slot may be reused immediately).
-            let epoch = self.pool.with(msg.r, |p| p.meta().epoch());
-            self.pool.release(msg.r);
-            self.stats.note_misroute();
-            self.handle.finish(epoch);
-            self.dropped.fetch_add(1, Ordering::Release);
+            let ctx = &*self.ctx;
+            let epoch = ctx.pool.with(msg.r, |p| p.meta().epoch());
+            ctx.pool.release(msg.r);
+            ctx.stats(self.from).note_misroute();
+            ctx.handle.finish(epoch);
+            ctx.dropped.fetch_add(1, Ordering::Release);
             return;
         };
-        q.buf.push(msg);
-        if q.buf.len() - q.off >= BURST {
-            Self::flush_queue(q, self.stats);
-        }
-    }
-
-    /// One non-blocking burst push for `q`; returns true on any progress.
-    /// A ring that stays full for [`RETRY_LIMIT`] consecutive attempts is
-    /// recorded as one backpressure event.
-    fn flush_queue(q: &mut TargetQueue, stats: &StageStats) -> bool {
-        if q.off >= q.buf.len() {
-            return false;
-        }
-        let n = q.p.push_burst(&q.buf[q.off..]);
-        q.off += n;
-        if q.off >= q.buf.len() {
-            q.buf.clear();
-            q.off = 0;
-        }
-        if n == 0 {
-            q.attempts += 1;
-            if q.attempts == RETRY_LIMIT {
-                stats.note_backpressure();
-            }
-            false
-        } else {
-            q.attempts = 0;
-            true
+        q.push(msg);
+        if q.queued() >= BURST {
+            let stats = self.ctx.stats(self.from);
+            q.flush(|| stats.note_backpressure());
         }
     }
 
     /// Retry every per-target buffer; returns true on any progress.
     fn pump(&mut self) -> bool {
+        let stats = self.ctx.stats(self.from);
         let mut progress = false;
-        for q in &mut self.out {
-            progress |= Self::flush_queue(q, self.stats);
+        for (_, q) in &mut self.out {
+            progress |= q.flush(|| stats.note_backpressure());
         }
         progress
     }
 
     /// Nothing buffered anywhere (quiesce condition).
     fn all_empty(&self) -> bool {
-        self.out.iter().all(|q| q.off >= q.buf.len())
+        self.out.iter().all(|(_, q)| q.is_empty())
     }
 }
 
-impl Deliver for StashSink<'_> {
+impl Deliver for StashSink {
     fn deliver(&mut self, target: Target, msg: Msg) {
         // `Target::Merger` routes back through the agent itself (the
         // Agent→Agent self-ring): a next-segment copy needs its own
@@ -466,22 +473,26 @@ impl Deliver for StashSink<'_> {
 /// the then-current epoch. A pool-exhausted admission leaves the packet
 /// at the front of the queue for the next pass (FIFO and dense-PID order
 /// preserved) instead of blocking the thread.
-struct ClassifierTask<'a> {
+struct ClassifierTask {
+    ctx: Arc<StageCtx>,
+    session: u64,
     classifier: Classifier,
     inject_rx: Consumer<Packet>,
     pending: VecDeque<Packet>,
     scratch: Vec<Packet>,
-    sink: StashSink<'a>,
-    pool: Arc<PacketPool>,
-    stats: &'a StageStats,
-    tele: &'a Telemetry,
-    stop: &'a AtomicBool,
-    dropped: &'a AtomicU64,
+    sink: StashSink,
 }
 
-impl crate::exec::StageCore for ClassifierTask<'_> {
+impl crate::exec::StageCore for ClassifierTask {
+    fn begin(&mut self, session: u64) {
+        self.session = session;
+        // PIDs restart at 0 every session, as on a fresh engine.
+        self.classifier = Classifier::live(Arc::clone(&self.ctx.handle));
+    }
+
     fn pass(&mut self) -> bool {
-        self.stats.note_occupancy(self.inject_rx.len());
+        let ctx = &*self.ctx;
+        ctx.classifier_stats.note_occupancy(self.inject_rx.len());
         let mut progress = false;
         if self.pending.len() < BURST {
             self.scratch.clear();
@@ -493,15 +504,15 @@ impl crate::exec::StageCore for ClassifierTask<'_> {
         if !self.pending.is_empty() {
             let batch = self.classifier.admit_burst(
                 &mut self.pending,
-                &self.pool,
+                &ctx.pool,
                 &mut self.sink,
-                self.stats,
-                Some(self.tele),
+                &ctx.classifier_stats,
+                Some(&ctx.tele),
             );
             // Malformed / unmatched packets are finished here, and the
             // closed loop must account for them.
             if batch.rejected > 0 {
-                self.dropped.fetch_add(batch.rejected, Ordering::Release);
+                ctx.dropped.fetch_add(batch.rejected, Ordering::Release);
             }
             progress |= batch.admitted > 0 || batch.rejected > 0;
         }
@@ -514,84 +525,87 @@ impl crate::exec::StageCore for ClassifierTask<'_> {
     }
 
     fn done(&self) -> bool {
-        self.stop.load(Ordering::Acquire)
+        self.ctx.stop.load(Ordering::Acquire) >= self.session
             && self.inject_rx.is_empty()
             && self.pending.is_empty()
             && self.sink.all_empty()
     }
 }
 
-/// Hand-back slot for an NF runtime: the stage thread parks the runtime
-/// here at `finish` so the engine can harvest failure reports.
-type RtSlot = Mutex<Option<NfRuntime<Box<dyn NetworkFunction>>>>;
+/// Where an NF runtime parks between sessions, so the engine can rebuild
+/// it, harvest its failure report and reach the NF's flow state.
+type RtSlot = Mutex<Option<NfRt>>;
+type NfRt = NfRuntime<Box<dyn NetworkFunction>>;
 
-/// One delivered packet: pid, collection timestamp, optional payload.
-type OutputRow = (u64, Instant, Option<Packet>);
+/// One delivered packet: inject → collect latency, and the packet if kept.
+type OutputRow = (Duration, Option<Packet>);
+const POISONED: &str = "engine slot poisoned: a stage thread panicked holding it";
 
 /// NF stage task: drives one NF runtime core. Each pass bumps the
 /// watchdog heartbeat and honors a stall verdict before touching more
 /// traffic; the busy flag brackets time spent inside the NF so the
 /// watchdog only ever blames an NF that is actually holding a packet.
-struct NfTask<'a> {
+struct NfTask {
+    ctx: Arc<StageCtx>,
+    session: u64,
     i: usize,
-    rt: Option<NfRuntime<Box<dyn NetworkFunction>>>,
+    rt: Option<NfRt>,
     rxs: Vec<Consumer<Msg>>,
-    sink: StashSink<'a>,
+    sink: StashSink,
     resolver: TablesResolver,
     batch: Vec<Msg>,
-    pool: Arc<PacketPool>,
-    handle: Arc<ProgramHandle>,
-    stats: &'a StageStats,
-    tele: &'a Telemetry,
-    hb: &'a AtomicU64,
-    busy: &'a AtomicBool,
-    failed: &'a AtomicBool,
-    quiesce: &'a AtomicBool,
-    dropped: &'a AtomicU64,
-    slot: &'a RtSlot,
 }
 
-impl crate::exec::StageCore for NfTask<'_> {
+impl crate::exec::StageCore for NfTask {
+    fn begin(&mut self, session: u64) {
+        self.session = session;
+        self.rt = self.ctx.runtimes[self.i].lock().expect(POISONED).take();
+        self.resolver = TablesResolver::new(Arc::clone(&self.ctx.handle));
+    }
+
     fn pass(&mut self) -> bool {
-        self.hb.fetch_add(1, Ordering::Relaxed);
+        let ctx = &*self.ctx;
+        let watch = &ctx.watch[self.i];
+        let stats = &ctx.nf_stats[self.i];
+        watch.hb.fetch_add(1, Ordering::Relaxed);
         let rt = self.rt.as_mut().expect("runtime present until finish");
-        if self.failed.load(Ordering::Acquire) {
+        if watch.failed.load(Ordering::Acquire) {
             rt.force_fail(FailureKind::Stalled);
         }
         let mut progress = false;
         for rx in &self.rxs {
-            self.stats.note_occupancy(rx.len());
+            stats.note_occupancy(rx.len());
             self.batch.clear();
             if rx.pop_burst(&mut self.batch, BURST) == 0 {
                 continue;
             }
             progress = true;
-            self.busy.store(true, Ordering::Release);
-            let t0 = self.tele.clock();
+            watch.busy.store(true, Ordering::Release);
+            let t0 = ctx.tele.clock();
             let n = self.batch.len() as u64;
             for msg in self.batch.drain(..) {
                 // Resolve this packet's NF config by its stamped epoch, so
                 // a mid-swap packet is processed under the policy that
                 // classified it.
-                let epoch = self.pool.with(msg.r, |p| p.meta().epoch());
-                let tables = self.resolver.get(epoch, self.stats);
+                let epoch = ctx.pool.with(msg.r, |p| p.meta().epoch());
+                let tables = self.resolver.get(epoch, stats);
                 let cfg = &tables.nf_configs[self.i];
                 let before = rt.dropped + rt.errors + rt.policy_drops;
-                self.tele.trace_ref(Stage::Nf(self.i), &self.pool, msg.r);
-                rt.handle_with(cfg, msg, &self.pool, &mut self.sink, self.stats);
+                ctx.tele.trace_ref(Stage::Nf(self.i), &ctx.pool, msg.r);
+                rt.handle_with(cfg, msg, &ctx.pool, &mut self.sink, stats);
                 let after = rt.dropped + rt.errors + rt.policy_drops;
                 if matches!(cfg.on_drop, DropBehavior::Discard) && after > before {
                     // A silent discard finishes the packet right here:
                     // settle it against its epoch (≤ 1 drop per message
                     // by construction).
                     for _ in 0..(after - before) {
-                        self.handle.finish(epoch);
+                        ctx.handle.finish(epoch);
                     }
-                    self.dropped.fetch_add(after - before, Ordering::Release);
+                    ctx.dropped.fetch_add(after - before, Ordering::Release);
                 }
             }
-            self.tele.record_split(Stage::Nf(self.i), t0, n);
-            self.busy.store(false, Ordering::Release);
+            ctx.tele.record_split(Stage::Nf(self.i), t0, n);
+            watch.busy.store(false, Ordering::Release);
         }
         progress |= self.sink.pump();
         progress
@@ -602,61 +616,64 @@ impl crate::exec::StageCore for NfTask<'_> {
     }
 
     fn done(&self) -> bool {
-        self.quiesce.load(Ordering::Acquire)
+        self.ctx.quiesce.load(Ordering::Acquire) >= self.session
             && self.rxs.iter().all(|r| r.is_empty())
             && self.sink.all_empty()
     }
 
     fn finish(&mut self) {
-        // Hand the runtime back for rerun and failure harvesting.
-        *self.slot.lock().unwrap() = self.rt.take();
+        *self.ctx.runtimes[self.i].lock().expect(POISONED) = self.rt.take();
     }
 }
 
 /// Merger agent stage task: drives the agent/sequencer core — PID-hash
 /// routing (§5.3), dense sequence assignment and in-order outcome
 /// release.
-struct AgentTask<'a> {
+struct AgentTask {
+    ctx: Arc<StageCtx>,
+    session: u64,
     core: AgentCore,
     rxs: Vec<Consumer<Msg>>,
     outcome_rxs: Vec<Consumer<Outcome>>,
-    sink: StashSink<'a>,
+    sink: StashSink,
     resolver: TablesResolver,
     batch: Vec<Msg>,
     obatch: Vec<Outcome>,
     picks: Vec<usize>,
-    pool: Arc<PacketPool>,
-    handle: Arc<ProgramHandle>,
-    stats: &'a StageStats,
-    tele: &'a Telemetry,
-    quiesce: &'a AtomicBool,
-    dropped: &'a AtomicU64,
 }
 
-impl crate::exec::StageCore for AgentTask<'_> {
+impl crate::exec::StageCore for AgentTask {
+    fn begin(&mut self, session: u64) {
+        self.session = session;
+        // Sequence numbers restart with the session's PIDs.
+        self.core = AgentCore::new(self.outcome_rxs.len());
+        self.resolver = TablesResolver::new(Arc::clone(&self.ctx.handle));
+    }
+
     fn pass(&mut self) -> bool {
+        let ctx = &*self.ctx;
         let mut progress = false;
         // 1. Route inbound copies/nils, stamping sequence numbers.
         for rx in &self.rxs {
-            self.stats.note_occupancy(rx.len());
+            ctx.agent_stats.note_occupancy(rx.len());
             self.batch.clear();
             if rx.pop_burst(&mut self.batch, BURST) == 0 {
                 continue;
             }
             progress = true;
             for msg in self.batch.iter() {
-                self.tele.trace_ref(Stage::Agent, &self.pool, msg.r);
+                ctx.tele.trace_ref(Stage::Agent, &ctx.pool, msg.r);
             }
-            let t0 = self.tele.clock();
+            let t0 = ctx.tele.clock();
             self.picks.clear();
             self.core.route_burst(
                 &mut self.batch,
-                &self.pool,
+                &ctx.pool,
                 &mut self.resolver,
-                self.stats,
+                &ctx.agent_stats,
                 &mut self.picks,
             );
-            self.tele
+            ctx.tele
                 .record_split(Stage::Agent, t0, self.batch.len() as u64);
             for (msg, &pick) in self.batch.drain(..).zip(self.picks.iter()) {
                 self.sink.send(Stage::Merger(pick), msg);
@@ -673,14 +690,14 @@ impl crate::exec::StageCore for AgentTask<'_> {
             for o in self.obatch.drain(..) {
                 let drops = self.core.release(
                     o,
-                    &self.pool,
+                    &ctx.pool,
                     &mut self.resolver,
                     &mut self.sink,
-                    self.stats,
+                    &ctx.agent_stats,
                 );
                 for epoch in drops {
-                    self.handle.finish(epoch);
-                    self.dropped.fetch_add(1, Ordering::Release);
+                    ctx.handle.finish(epoch);
+                    ctx.dropped.fetch_add(1, Ordering::Release);
                 }
             }
         }
@@ -696,7 +713,7 @@ impl crate::exec::StageCore for AgentTask<'_> {
     }
 
     fn done(&self) -> bool {
-        self.quiesce.load(Ordering::Acquire)
+        self.ctx.quiesce.load(Ordering::Acquire) >= self.session
             && self.rxs.iter().all(|r| r.is_empty())
             && self.outcome_rxs.iter().all(|r| r.is_empty())
             && self.sink.all_empty()
@@ -707,49 +724,56 @@ impl crate::exec::StageCore for AgentTask<'_> {
 /// the agent. The outcome push is non-blocking (stash with a drain
 /// offset), and the deadline pass runs even on otherwise idle passes so a
 /// wedged merge cannot outlive its deadline just because traffic stopped.
-struct MergerTask<'a> {
+struct MergerTask {
+    ctx: Arc<StageCtx>,
+    session: u64,
     m: usize,
     core: MergerCore,
     rxs: Vec<Consumer<Msg>>,
-    outcome_tx: Producer<Outcome>,
-    outcomes: Vec<Outcome>,
-    out_off: usize,
-    out_attempts: u32,
+    /// Outcomes back to the agent; it always drains, so the stash is
+    /// bounded by the in-flight window.
+    outcomes: Stash<Outcome>,
     resolver: TablesResolver,
     batch: Vec<Msg>,
-    pool: Arc<PacketPool>,
-    stats: &'a StageStats,
-    tele: &'a Telemetry,
-    quiesce: &'a AtomicBool,
     started: Instant,
     merge_deadline_ms: u64,
 }
 
-impl crate::exec::StageCore for MergerTask<'_> {
+impl crate::exec::StageCore for MergerTask {
+    fn begin(&mut self, session: u64) {
+        self.session = session;
+        // Fresh accumulating table (no tombstones from earlier sessions,
+        // whose PIDs are reused) and a fresh merge-deadline clock.
+        self.core = MergerCore::new();
+        self.started = Instant::now();
+        self.resolver = TablesResolver::new(Arc::clone(&self.ctx.handle));
+    }
+
     fn pass(&mut self) -> bool {
+        let ctx = &*self.ctx;
+        let stats = &ctx.merger_stats[self.m];
         let mut progress = false;
         for rx in &self.rxs {
-            self.stats.note_occupancy(rx.len());
+            stats.note_occupancy(rx.len());
             self.batch.clear();
             if rx.pop_burst(&mut self.batch, BURST) == 0 {
                 continue;
             }
             progress = true;
             for msg in self.batch.iter() {
-                self.tele
-                    .trace_ref(Stage::Merger(self.m), &self.pool, msg.r);
+                ctx.tele.trace_ref(Stage::Merger(self.m), &ctx.pool, msg.r);
             }
             let now_ms = self.started.elapsed().as_millis() as u64;
-            let t0 = self.tele.clock();
+            let t0 = ctx.tele.clock();
             self.core.offer_burst(
                 &self.batch,
-                &self.pool,
+                &ctx.pool,
                 &mut self.resolver,
-                self.stats,
+                stats,
                 now_ms,
-                &mut self.outcomes,
+                self.outcomes.queue(),
             );
-            self.tele
+            ctx.tele
                 .record_split(Stage::Merger(self.m), t0, self.batch.len() as u64);
         }
         // Deadline pass: resolve entries whose siblings stopped coming (a
@@ -760,92 +784,75 @@ impl crate::exec::StageCore for MergerTask<'_> {
             {
                 let expired = self
                     .core
-                    .expire(cutoff, &self.pool, &mut self.resolver, self.stats);
+                    .expire(cutoff, &ctx.pool, &mut self.resolver, stats);
                 if !expired.is_empty() {
                     progress = true;
-                    self.outcomes.extend(expired);
+                    self.outcomes.queue().extend(expired);
                 }
             }
         }
-        // Return outcomes as a non-blocking burst; the agent always
-        // drains, so the stash is bounded by the in-flight window.
-        if self.out_off < self.outcomes.len() {
-            let n = self.outcome_tx.push_burst(&self.outcomes[self.out_off..]);
-            self.out_off += n;
-            if self.out_off >= self.outcomes.len() {
-                self.outcomes.clear();
-                self.out_off = 0;
-            }
-            if n == 0 {
-                self.out_attempts += 1;
-                if self.out_attempts == RETRY_LIMIT {
-                    self.stats.note_backpressure();
-                }
-            } else {
-                self.out_attempts = 0;
-                progress = true;
-            }
-        }
+        progress |= self.outcomes.flush(|| stats.note_backpressure());
         progress
     }
 
     fn ready(&self) -> bool {
-        self.rxs.iter().any(|r| !r.is_empty()) || self.out_off < self.outcomes.len()
+        self.rxs.iter().any(|r| !r.is_empty()) || !self.outcomes.is_empty()
     }
 
     fn done(&self) -> bool {
-        self.quiesce.load(Ordering::Acquire)
+        self.ctx.quiesce.load(Ordering::Acquire) >= self.session
             && self.rxs.iter().all(|r| r.is_empty())
-            && self.out_off >= self.outcomes.len()
+            && self.outcomes.is_empty()
     }
 }
 
 /// Collector stage task: take finished packets out of the pool in bursts,
-/// timestamp, count — and hand the outputs back through a shared slot at
-/// finish.
-struct CollectorTask<'a> {
+/// time each against its own injection stamp, count — and hand the
+/// outputs back through the context at finish.
+struct CollectorTask {
+    ctx: Arc<StageCtx>,
+    session: u64,
     rxs: Vec<Consumer<Msg>>,
     batch: Vec<Msg>,
     pkts: Vec<Packet>,
     outputs: Vec<OutputRow>,
-    pool: Arc<PacketPool>,
-    handle: Arc<ProgramHandle>,
-    stats: &'a StageStats,
-    tele: &'a Telemetry,
-    quiesce: &'a AtomicBool,
-    delivered: &'a AtomicU64,
     keep_packets: bool,
-    slot: &'a Mutex<Vec<OutputRow>>,
 }
 
-impl crate::exec::StageCore for CollectorTask<'_> {
+impl crate::exec::StageCore for CollectorTask {
+    fn begin(&mut self, session: u64) {
+        self.session = session;
+        self.keep_packets = self.ctx.keep_packets.load(Ordering::Relaxed);
+    }
+
     fn pass(&mut self) -> bool {
+        let ctx = &*self.ctx;
         let mut progress = false;
         for rx in &self.rxs {
-            self.stats.note_occupancy(rx.len());
+            ctx.collector_stats.note_occupancy(rx.len());
             self.batch.clear();
             if rx.pop_burst(&mut self.batch, BURST) == 0 {
                 continue;
             }
             progress = true;
-            let t0 = self.tele.clock();
+            let t0 = ctx.tele.clock();
             self.pkts.clear();
-            collector::collect_burst(&self.batch, &self.pool, self.stats, &mut self.pkts);
-            self.tele
+            collector::collect_burst(&self.batch, &ctx.pool, &ctx.collector_stats, &mut self.pkts);
+            ctx.tele
                 .record_split(Stage::Collector, t0, self.batch.len() as u64);
-            let t_out = Instant::now();
+            let t_out = ctx.now_ns();
             let n = self.pkts.len() as u64;
             for pkt in self.pkts.drain(..) {
-                self.tele
-                    .hop_if_traced(Stage::Collector, pkt.meta(), pkt.is_nil());
-                let pid = pkt.meta().pid();
+                let meta = pkt.meta();
+                ctx.tele.hop_if_traced(Stage::Collector, meta, pkt.is_nil());
                 // Delivery settles the packet against the epoch that
                 // classified it.
-                self.handle.finish(pkt.meta().epoch());
+                ctx.handle.finish(meta.epoch());
+                let latency = Duration::from_nanos(t_out.saturating_sub(meta.inject_ns()));
                 self.outputs
-                    .push((pid, t_out, self.keep_packets.then_some(pkt)));
+                    .push((latency, self.keep_packets.then_some(pkt)));
             }
-            self.delivered.fetch_add(n, Ordering::Release);
+            ctx.delivered.fetch_add(n, Ordering::Release);
         }
         progress
     }
@@ -855,11 +862,12 @@ impl crate::exec::StageCore for CollectorTask<'_> {
     }
 
     fn done(&self) -> bool {
-        self.quiesce.load(Ordering::Acquire) && self.rxs.iter().all(|r| r.is_empty())
+        self.ctx.quiesce.load(Ordering::Acquire) >= self.session
+            && self.rxs.iter().all(|r| r.is_empty())
     }
 
     fn finish(&mut self) {
-        *self.slot.lock().unwrap() = std::mem::take(&mut self.outputs);
+        *self.ctx.outputs.lock().expect(POISONED) = std::mem::take(&mut self.outputs);
     }
 }
 
@@ -908,83 +916,12 @@ fn validate_wiring(program: &Program, mergers: usize) -> Result<(), EngineError>
     check(Stage::Agent, agent_needed)
 }
 
-/// A cloneable, thread-safe handle for reconfiguring a running [`Engine`]
-/// from outside its run loop: it shares the engine's [`ProgramHandle`]
-/// and knows the fixed executor limits (pool, in-flight window) a
-/// candidate program must fit.
-#[derive(Debug, Clone)]
-pub struct EngineController {
-    handle: Arc<ProgramHandle>,
-    pool_size: usize,
-    max_in_flight: usize,
-    drain_timeout: Duration,
-}
-
-impl EngineController {
-    /// The engine's current program epoch.
-    pub fn epoch(&self) -> u64 {
-        self.handle.epoch()
-    }
-
-    /// Hot-swap `program` in as the new current epoch and wait for the
-    /// superseded epoch to drain (bounded by the engine's stall timeout).
-    ///
-    /// The swap is validated first — footprint against the engine's fixed
-    /// pool, then the orchestrator's compatibility diff — and any
-    /// rejection leaves the running engine untouched. On success the
-    /// returned [`EpochReport`] records the diff, the install-to-retire
-    /// latency and the old epoch's final accounting.
-    pub fn reconfigure(&self, program: Program) -> Result<EpochReport, ReconfigError> {
-        let slots = program.slots_per_packet();
-        let required = self.max_in_flight.max(1) * slots;
-        if self.pool_size < required {
-            return Err(ReconfigError::PoolTooSmall {
-                pool_size: self.pool_size,
-                required,
-                max_in_flight: self.max_in_flight,
-                slots_per_packet: slots,
-            });
-        }
-        let started = Instant::now();
-        let swap = self.handle.install(program)?;
-        let drained = swap.old.in_flight();
-        let deadline = started + self.drain_timeout;
-        let mut spins = 0u32;
-        while !swap.old.drained() {
-            if Instant::now() >= deadline {
-                return Err(ReconfigError::DrainTimeout {
-                    epoch: swap.old.epoch(),
-                    in_flight: swap.old.in_flight(),
-                });
-            }
-            // Back off: drains take packet-scale time, not cycle-scale,
-            // and this controller thread must not steal the engine's core.
-            spins += 1;
-            if spins < 16 {
-                std::thread::yield_now();
-            } else {
-                std::thread::sleep(Duration::from_micros(50));
-            }
-        }
-        self.handle.retire();
-        Ok(EpochReport {
-            from_epoch: swap.old.epoch(),
-            to_epoch: self.handle.epoch(),
-            update: swap.update,
-            swap_latency: started.elapsed(),
-            drained,
-            completed: swap.old.completed(),
-            shards: Vec::new(),
-        })
-    }
-}
-
 /// What the injector loop pulls from: a pre-materialized batch (the
 /// historical closed-loop entry points) or a live [`Ingress`] pulled in
 /// bursts. Streaming keeps the burst buffered locally so backpressure
 /// (`max_in_flight`, ring-full retries) applies per packet, exactly as
 /// in the batch path.
-enum Feed<'a> {
+pub(crate) enum Feed<'a> {
     Batch(std::vec::IntoIter<Packet>),
     Stream {
         ingress: &'a mut dyn Ingress,
@@ -996,7 +933,7 @@ enum Feed<'a> {
 }
 
 impl<'a> Feed<'a> {
-    fn batch(packets: Vec<Packet>) -> Self {
+    pub(crate) fn batch(packets: Vec<Packet>) -> Self {
         Feed::Batch(packets.into_iter())
     }
 
@@ -1042,14 +979,6 @@ impl<'a> Feed<'a> {
         }
     }
 
-    /// Capacity hint for the latency recorder and injection-time table.
-    fn size_hint(&self) -> usize {
-        match self {
-            Feed::Batch(it) => it.len(),
-            Feed::Stream { burst, .. } => *burst * 32,
-        }
-    }
-
     fn take_error(&mut self) -> Option<IoError> {
         match self {
             Feed::Batch(_) => None,
@@ -1058,24 +987,48 @@ impl<'a> Feed<'a> {
     }
 }
 
-/// The threaded engine: one executor for a sealed [`Program`]. Build once,
-/// run many times — and [`reconfigure`](Engine::reconfigure) between or
-/// during runs.
+/// The threaded engine: one long-lived executor for a sealed [`Program`].
+///
+/// [`Engine::new`] builds the packet pool, the ring mesh (from the
+/// program's wiring plan) and the stage threads once. Each
+/// [`run`](Engine::run) / [`run_io`](Engine::run_io) is a *session* on
+/// the live engine: the stage threads wait at a session gate between
+/// sessions (blocked, costing no CPU), and every session starts from the
+/// state a freshly built engine would — only the NFs' flow state carries
+/// over. [`reconfigure`](Engine::reconfigure) works between or during
+/// sessions; dropping the engine shuts the gate and joins every thread.
 pub struct Engine {
-    handle: Arc<ProgramHandle>,
-    nfs: Vec<Box<dyn NetworkFunction>>,
+    ctx: Arc<StageCtx>,
     config: EngineConfig,
+    inject_tx: Producer<Packet>,
+    threads: Vec<std::thread::JoinHandle<()>>,
+    /// Generation of the last session opened.
+    session: u64,
 }
 
 impl Engine {
     /// Create an engine executing `program` with NF instances ordered by
-    /// `NodeId`. Validates the configuration against the program's pool
-    /// footprint — a pool that cannot cover the in-flight window is
-    /// rejected here rather than wedging a run later.
+    /// `NodeId`, and start its stage threads. Validates the configuration
+    /// against the program's pool footprint — a pool that cannot cover
+    /// the in-flight window is rejected here rather than wedging a run
+    /// later.
     pub fn new(
         program: Program,
         nfs: Vec<Box<dyn NetworkFunction>>,
         config: EngineConfig,
+    ) -> Result<Engine, EngineError> {
+        Self::build(program, nfs, config, WakeHub::new(), 0)
+    }
+
+    /// [`Engine::new`] as replica `shard` of a fleet: its wake hub's
+    /// parent is where the fleet's caller thread parks, and its threads
+    /// start on CPUs past the earlier replicas'.
+    pub(crate) fn build(
+        program: Program,
+        nfs: Vec<Box<dyn NetworkFunction>>,
+        config: EngineConfig,
+        hub: WakeHub,
+        shard: usize,
     ) -> Result<Engine, EngineError> {
         if nfs.len() != program.nf_count() {
             return Err(EngineError::NfCountMismatch {
@@ -1109,28 +1062,187 @@ impl Engine {
                 slots_per_packet: slots,
             });
         }
+
+        let n_nfs = nfs.len();
+        let n_mergers = config.mergers;
+        let handle = Arc::new(ProgramHandle::new(program.clone()));
+        let ctx = Arc::new(StageCtx {
+            pool: CachePadded::new(PacketPool::new(config.pool_size)),
+            handle: Arc::clone(&handle),
+            classifier_stats: StageStats::new(),
+            nf_stats: (0..n_nfs).map(|_| StageStats::new()).collect(),
+            agent_stats: StageStats::new(),
+            merger_stats: (0..n_mergers).map(|_| StageStats::new()).collect(),
+            collector_stats: StageStats::new(),
+            tele: Telemetry::new(config.telemetry.clone(), n_nfs, n_mergers),
+            hub: CachePadded::new(hub),
+            gate: SessionGate::new(),
+            stop: AtomicU64::new(0),
+            quiesce: AtomicU64::new(0),
+            delivered: CachePadded::new(AtomicU64::new(0)),
+            dropped: CachePadded::new(AtomicU64::new(0)),
+            watch: (0..n_nfs).map(|_| NfWatch::default()).collect(),
+            runtimes: nfs
+                .into_iter()
+                .zip(program.tables().nf_configs.iter().cloned())
+                .map(|(nf, cfg)| Mutex::new(Some(NfRuntime::new(nf, cfg))))
+                .collect(),
+            outputs: Mutex::new(Vec::new()),
+            keep_packets: AtomicBool::new(false),
+            clock: Instant::now(),
+        });
+
+        // One SPSC ring per wiring-plan edge. A hot swap only installs a
+        // topology-identical successor, so the mesh outlives epochs;
+        // per-packet lookups go through epoch-keyed resolvers.
+        let mut inbound: Vec<(Stage, Consumer<Msg>)> = Vec::new();
+        let mut sink = |from: Stage| StashSink {
+            ctx: Arc::clone(&ctx),
+            from,
+            out: program
+                .wiring()
+                .targets_of(from, n_mergers)
+                .into_iter()
+                .map(|to| {
+                    let (p, rx) = ring::channel(config.ring_capacity);
+                    inbound.push((to, rx));
+                    (to, Stash::new(p))
+                })
+                .collect(),
+        };
+        let classifier_sink = sink(Stage::Classifier);
+        let nf_sinks: Vec<StashSink> = (0..n_nfs).map(|i| sink(Stage::Nf(i))).collect();
+        let agent_sink = sink(Stage::Agent);
+        let mut rx_of = |to: Stage| -> Vec<Consumer<Msg>> {
+            let (mine, rest) = std::mem::take(&mut inbound)
+                .into_iter()
+                .partition(|(s, _)| *s == to);
+            inbound = rest;
+            mine.into_iter().map(|(_, rx)| rx).collect()
+        };
+        let (inject_tx, inject_rx) = ring::channel::<Packet>(config.ring_capacity);
+        let (outcome_txs, outcome_rxs): (Vec<_>, Vec<_>) = (0..n_mergers)
+            .map(|_| ring::channel::<Outcome>(config.ring_capacity))
+            .unzip();
+        let resolver = || TablesResolver::new(Arc::clone(&handle));
+
+        // Stage tasks in pipeline order; contiguous grouping then keeps
+        // producer→consumer pairs together when coalescing.
+        let mut tasks: Vec<Box<dyn crate::exec::StageCore>> =
+            Vec::with_capacity(3 + n_nfs + n_mergers);
+        tasks.push(Box::new(ClassifierTask {
+            ctx: Arc::clone(&ctx),
+            session: 0,
+            classifier: Classifier::live(Arc::clone(&handle)),
+            inject_rx,
+            pending: VecDeque::new(),
+            scratch: Vec::new(),
+            sink: classifier_sink,
+        }));
+        for (i, sink) in nf_sinks.into_iter().enumerate() {
+            tasks.push(Box::new(NfTask {
+                ctx: Arc::clone(&ctx),
+                session: 0,
+                i,
+                rt: None,
+                rxs: rx_of(Stage::Nf(i)),
+                sink,
+                resolver: resolver(),
+                batch: Vec::new(),
+            }));
+        }
+        tasks.push(Box::new(AgentTask {
+            ctx: Arc::clone(&ctx),
+            session: 0,
+            core: AgentCore::new(n_mergers),
+            rxs: rx_of(Stage::Agent),
+            outcome_rxs,
+            sink: agent_sink,
+            resolver: resolver(),
+            batch: Vec::new(),
+            obatch: Vec::new(),
+            picks: Vec::new(),
+        }));
+        for (m, outcome_tx) in outcome_txs.into_iter().enumerate() {
+            tasks.push(Box::new(MergerTask {
+                ctx: Arc::clone(&ctx),
+                session: 0,
+                m,
+                core: MergerCore::new(),
+                rxs: rx_of(Stage::Merger(m)),
+                outcomes: Stash::new(outcome_tx),
+                resolver: resolver(),
+                batch: Vec::new(),
+                started: Instant::now(),
+                merge_deadline_ms: config.merge_deadline.as_millis() as u64,
+            }));
+        }
+        tasks.push(Box::new(CollectorTask {
+            ctx: Arc::clone(&ctx),
+            session: 0,
+            rxs: rx_of(Stage::Collector),
+            batch: Vec::new(),
+            pkts: Vec::new(),
+            outputs: Vec::new(),
+            keep_packets: false,
+        }));
+
+        // At most `core_budget` threads; budgets ≥ 2 never mix the front
+        // (classifier + NFs) and back (agent, mergers, collector) sections,
+        // so a blocking NF cannot starve merge-deadline enforcement.
+        let groups =
+            crate::exec::plan_pipeline_groups(1 + n_nfs, 2 + n_mergers, config.core_budget.max(1));
+        // Unpinned threads start on the CPUs after the building thread's
+        // (past earlier replicas'), so busy groups never start stacked.
+        let spread_from = 1 + shard * groups.len();
+        let mut tasks = tasks.into_iter();
+        let threads: Vec<_> = groups
+            .iter()
+            .enumerate()
+            .map(|(g, range)| {
+                let cores: Vec<_> = tasks.by_ref().take(range.len()).collect();
+                let ctx = Arc::clone(&ctx);
+                let policy = config.idle_policy;
+                let placement = match config.pin_cpus.as_slice() {
+                    [] => crate::exec::cpu_after_current(spread_from + g)
+                        .map_or(Placement::Any, Placement::Nudge),
+                    pins => Placement::Pin(pins[g % pins.len()]),
+                };
+                std::thread::Builder::new()
+                    .name(format!("nfp-stage{g}"))
+                    .spawn(move || {
+                        crate::exec::serve(cores, &ctx.hub, &ctx.gate, policy, placement)
+                    })
+                    .expect("spawn engine stage thread")
+            })
+            .collect();
+        // Return once every thread is placed and at the gate, so the first
+        // session does not race thread start-up.
+        ctx.gate.wait_arrived(threads.len() as u64);
         Ok(Self {
-            handle: Arc::new(ProgramHandle::new(program)),
-            nfs,
+            ctx,
             config,
+            inject_tx,
+            threads,
+            session: 0,
         })
     }
 
     /// The engine's swappable program slot (shared with every stage).
     pub fn handle(&self) -> &Arc<ProgramHandle> {
-        &self.handle
+        &self.ctx.handle
     }
 
     /// The current program epoch.
     pub fn epoch(&self) -> u64 {
-        self.handle.epoch()
+        self.ctx.handle.epoch()
     }
 
     /// A detached controller for reconfiguring this engine — including
     /// from another thread while [`Engine::run`] is live.
     pub fn controller(&self) -> EngineController {
         EngineController {
-            handle: Arc::clone(&self.handle),
+            handle: Arc::clone(&self.ctx.handle),
             pool_size: self.config.pool_size,
             max_in_flight: self.config.max_in_flight,
             drain_timeout: self.config.stall_timeout,
@@ -1142,20 +1254,11 @@ impl Engine {
         self.controller().reconfigure(program)
     }
 
-    /// Run the engine over `packets` (closed loop) and report.
+    /// Run one session over `packets` (closed loop) and report.
     pub fn run(&mut self, packets: Vec<Packet>) -> EngineReport {
-        self.run_with_recorder(packets).0
-    }
-
-    /// Like [`Engine::run`], also returning the raw latency recorder so a
-    /// sharded front-end can merge per-shard samples into one summary.
-    pub(crate) fn run_with_recorder(
-        &mut self,
-        packets: Vec<Packet>,
-    ) -> (EngineReport, LatencyRecorder) {
-        let (report, recorder, err) = self.run_feed(Feed::batch(packets));
+        let (report, _, err) = self.run_feed(Feed::batch(packets));
         debug_assert!(err.is_none(), "batch feeds cannot fail");
-        (report, recorder)
+        report
     }
 
     /// Run the engine against a pluggable [`Ingress`]/[`Egress`] backend
@@ -1172,11 +1275,10 @@ impl Engine {
         ingress: &mut dyn Ingress,
         egress: &mut dyn Egress,
     ) -> Result<(EngineReport, IoRunStats), IoError> {
-        let keep = self.config.keep_packets;
-        self.config.keep_packets = true;
+        let keep = self.set_keep_packets(true);
         let burst = self.config.io_burst.max(1);
         let (mut report, _recorder, err) = self.run_feed(Feed::stream(ingress, burst));
-        self.config.keep_packets = keep;
+        self.set_keep_packets(keep);
         if let Some(e) = err {
             return Err(e);
         }
@@ -1202,444 +1304,67 @@ impl Engine {
         std::mem::replace(&mut self.config.keep_packets, keep)
     }
 
-    /// The engine core shared by the batch and streaming entry points.
-    /// Returns the report, the raw latency recorder, and — for streaming
-    /// feeds — the first ingress error, if any (injection stops at the
-    /// error; everything already injected is still accounted).
-    fn run_feed(&mut self, mut feed: Feed<'_>) -> (EngineReport, LatencyRecorder, Option<IoError>) {
-        let pool = Arc::new(PacketPool::new(self.config.pool_size));
-        let n_nfs = self.nfs.len();
-        let n_mergers = self.config.mergers;
-        // Snapshot the current program for executor construction (ring
-        // mesh, runtime configs). A mid-run hot swap only ever installs a
-        // topology-identical successor, so the mesh built here stays valid
-        // across epochs; per-packet table lookups go through epoch-keyed
-        // [`TablesResolver`]s instead of this snapshot.
-        let handle = Arc::clone(&self.handle);
-        let program = handle.current().program().clone();
+    /// One session on the caller thread, start to finish (an ingress
+    /// error stops injection; everything injected is still accounted).
+    fn run_feed<'a>(&'a mut self, feed: Feed<'a>) -> SessionResult {
+        let ctx = Arc::clone(&self.ctx);
+        let policy = self.config.idle_policy;
+        let mut session = self.begin(feed);
+        drive_sessions(std::slice::from_mut(&mut session), &ctx.hub, policy);
+        session.finish()
+    }
 
-        // Per-stage counters, borrowed by the worker threads for the
-        // duration of the scoped run and snapshotted into the report.
-        let classifier_stats = StageStats::new();
-        let nf_stats: Vec<StageStats> = (0..n_nfs).map(|_| StageStats::new()).collect();
-        let agent_stats = StageStats::new();
-        let merger_stats: Vec<StageStats> = (0..n_mergers).map(|_| StageStats::new()).collect();
-        let collector_stats = StageStats::new();
-        // Shared telemetry recorder, borrowed by every stage thread like
-        // the stats above.
-        let telemetry = Telemetry::new(self.config.telemetry.clone(), n_nfs, n_mergers);
-
-        // Instantiate the program's wiring plan: one SPSC ring per
-        // (producer stage, consumer stage) edge.
-        let mut producers: HashMap<(Stage, Stage), Producer<Msg>> = HashMap::new();
-        let mut consumers: HashMap<Stage, Vec<Consumer<Msg>>> = HashMap::new();
-        let mut stages = vec![Stage::Classifier, Stage::Agent, Stage::Collector];
-        stages.extend((0..n_nfs).map(Stage::Nf));
-        stages.extend((0..n_mergers).map(Stage::Merger));
-        for &from in &stages {
-            for to in program.wiring().targets_of(from, n_mergers) {
-                let (tx, rx) = ring::channel(self.config.ring_capacity);
-                producers.insert((from, to), tx);
-                consumers.entry(to).or_default().push(rx);
-            }
+    /// Open a session without blocking: reset what a freshly built engine
+    /// starts from — every stage thread waits at the gate, so nothing
+    /// records concurrently — then open the gate.
+    pub(crate) fn begin<'a>(&'a mut self, feed: Feed<'a>) -> Session<'a> {
+        let ctx = &*self.ctx;
+        // Failure and bypass state resets with a runtime rebuilt from the
+        // current program; the NF (and its flow state) carries over.
+        let tables = ctx.handle.current().tables();
+        for (slot, cfg) in ctx.runtimes.iter().zip(&tables.nf_configs) {
+            let mut slot = slot.lock().expect(POISONED);
+            let nf = slot.take().expect("runtime parked between sessions");
+            *slot = Some(NfRuntime::new(nf.into_nf(), cfg.clone()));
         }
-        let producers_from =
-            |from: Stage, producers: &mut HashMap<(Stage, Stage), Producer<Msg>>| {
-                let keys: Vec<(Stage, Stage)> = producers
-                    .keys()
-                    .filter(|(f, _)| *f == from)
-                    .copied()
-                    .collect();
-                keys.into_iter()
-                    .map(|key| (key.1, producers.remove(&key).unwrap()))
-                    .collect::<Vec<_>>()
-            };
-
-        // Typed outcome rings: merger instance → agent.
-        let mut outcome_txs: Vec<Producer<Outcome>> = Vec::with_capacity(n_mergers);
-        let mut outcome_rxs: Vec<Consumer<Outcome>> = Vec::with_capacity(n_mergers);
-        for _ in 0..n_mergers {
-            let (tx, rx) = ring::channel(self.config.ring_capacity);
-            outcome_txs.push(tx);
-            outcome_rxs.push(rx);
+        ctx.all_stats().for_each(StageStats::reset);
+        ctx.tele.reset();
+        ctx.delivered.store(0, Ordering::Relaxed);
+        ctx.dropped.store(0, Ordering::Relaxed);
+        // A stall verdict must not outlive its session.
+        for w in &ctx.watch {
+            w.failed.store(false, Ordering::Relaxed);
         }
-
-        // Injection ring into the classifier.
-        let (inject_tx, inject_rx) = ring::channel::<Packet>(self.config.ring_capacity);
-
-        // Two-phase shutdown. `stop` ends injection (the classifier exits
-        // once its ring drains). `quiesce` releases everything else — it is
-        // raised only after the pool is empty, because a deadline-expired
-        // merge accounts its packet while a straggler copy from the
-        // stalled NF may still be in flight toward the merger's tombstone;
-        // stages must keep draining until that last reference is released
-        // or it would leak.
-        let stop = AtomicBool::new(false);
-        let quiesce = AtomicBool::new(false);
-        let delivered = AtomicU64::new(0);
-        let dropped = AtomicU64::new(0);
-        // Known up front for batch feeds; for streams, assigned once the
-        // source is exhausted (the scope body runs on this thread, so the
-        // completion loop below always sees the final value).
-        let mut injected_total = 0u64;
-
-        // Watchdog state: per-NF heartbeats (bumped once per drain loop),
-        // busy flags (set while inside `handle`), and the failed verdicts
-        // the watchdog hands down.
-        let heartbeats: Vec<AtomicU64> = (0..n_nfs).map(|_| AtomicU64::new(0)).collect();
-        let nf_busy: Vec<AtomicBool> = (0..n_nfs).map(|_| AtomicBool::new(false)).collect();
-        let nf_failed: Vec<AtomicBool> = (0..n_nfs).map(|_| AtomicBool::new(false)).collect();
-        let stall_timeout = self.config.stall_timeout;
-        let merge_deadline_ms = self.config.merge_deadline.as_millis() as u64;
-
-        let classifier_sink = StashSink::new(
-            producers_from(Stage::Classifier, &mut producers),
-            &classifier_stats,
-            pool.as_ref(),
-            &dropped,
-            handle.as_ref(),
-        );
-        let mut nf_sinks: Vec<StashSink> = (0..n_nfs)
-            .map(|i| {
-                StashSink::new(
-                    producers_from(Stage::Nf(i), &mut producers),
-                    &nf_stats[i],
-                    pool.as_ref(),
-                    &dropped,
-                    handle.as_ref(),
-                )
-            })
-            .collect();
-        let agent_sink = StashSink::new(
-            producers_from(Stage::Agent, &mut producers),
-            &agent_stats,
-            pool.as_ref(),
-            &dropped,
-            handle.as_ref(),
-        );
-        let mut nf_rx: Vec<Vec<Consumer<Msg>>> = (0..n_nfs)
-            .map(|i| consumers.remove(&Stage::Nf(i)).unwrap_or_default())
-            .collect();
-        let agent_rx = consumers.remove(&Stage::Agent).unwrap_or_default();
-        let mut merger_rx: Vec<Vec<Consumer<Msg>>> = (0..n_mergers)
-            .map(|m| consumers.remove(&Stage::Merger(m)).unwrap_or_default())
-            .collect();
-        let collector_rx = consumers.remove(&Stage::Collector).unwrap_or_default();
-
-        let tables = Arc::clone(program.tables());
-        let keep_packets = self.config.keep_packets;
-        let max_in_flight = self.config.max_in_flight.max(1);
-
-        // Live-audit gauges: one slot per run, budget = the closed-loop
-        // window's worst-case pool footprint.
+        ctx.keep_packets
+            .store(self.config.keep_packets, Ordering::Relaxed);
+        // One live-audit gauge slot per session, budgeted to the window.
         let gauges = self.config.probe.as_ref().map(|p| p.register());
         if let Some(g) = &gauges {
-            g.pool_budget.store(
-                (max_in_flight * program.slots_per_packet()) as u64,
-                Ordering::Relaxed,
-            );
+            let slots = ctx.handle.current().program().slots_per_packet() as u64;
+            g.pool_budget
+                .store(self.window() * slots, Ordering::Relaxed);
             g.active.store(true, Ordering::Release);
         }
-
-        // Take the NFs out for the duration of the scoped run.
-        let nfs = std::mem::take(&mut self.nfs);
-        let mut runtimes: Vec<NfRuntime<Box<dyn NetworkFunction>>> = nfs
-            .into_iter()
-            .zip(tables.nf_configs.iter().cloned())
-            .map(|(nf, cfg)| NfRuntime::new(nf, cfg))
-            .collect();
-
-        // Threading model: pack the stage tasks onto at most `core_budget`
-        // threads, coalescing in pipeline order, with a shared wake hub
-        // for adaptive idling. Result hand-back goes through slots the
-        // tasks fill at finish.
-        let hub = crate::exec::WakeHub::new();
-        let idle_policy = self.config.idle_policy;
-        let core_budget = self.config.core_budget.max(1);
-        let pin_cpus = self.config.pin_cpus.clone();
-        let rt_slots: Vec<RtSlot> = (0..n_nfs).map(|_| Mutex::new(None)).collect();
-        let outputs_slot: Mutex<Vec<OutputRow>> = Mutex::new(Vec::new());
-
-        let mut report_latency = LatencyRecorder::with_capacity(feed.size_hint());
-        let mut report_packets = Vec::new();
-        let mut nf_failures: Vec<NfFailure> = Vec::new();
-        let started = Instant::now();
-
-        // Stage tasks in pipeline order; contiguous grouping then keeps
-        // producer→consumer pairs together when coalescing.
-        let mut tasks: Vec<Box<dyn crate::exec::StageCore + '_>> =
-            Vec::with_capacity(3 + n_nfs + n_mergers);
-        tasks.push(Box::new(ClassifierTask {
-            classifier: Classifier::live(Arc::clone(&handle)),
-            inject_rx,
-            pending: VecDeque::new(),
-            scratch: Vec::new(),
-            sink: classifier_sink,
-            pool: Arc::clone(&pool),
-            stats: &classifier_stats,
-            tele: &telemetry,
-            stop: &stop,
-            dropped: &dropped,
-        }));
-        for (i, (rt, sink)) in runtimes.drain(..).zip(nf_sinks.drain(..)).enumerate() {
-            tasks.push(Box::new(NfTask {
-                i,
-                rt: Some(rt),
-                rxs: std::mem::take(&mut nf_rx[i]),
-                sink,
-                resolver: TablesResolver::new(Arc::clone(&handle)),
-                batch: Vec::new(),
-                pool: Arc::clone(&pool),
-                handle: Arc::clone(&handle),
-                stats: &nf_stats[i],
-                tele: &telemetry,
-                hb: &heartbeats[i],
-                busy: &nf_busy[i],
-                failed: &nf_failed[i],
-                quiesce: &quiesce,
-                dropped: &dropped,
-                slot: &rt_slots[i],
-            }));
+        self.session += 1;
+        ctx.gate.open(self.session);
+        let now = Instant::now();
+        Session {
+            id: self.session,
+            wd_hb: vec![(0, now); ctx.watch.len()],
+            engine: self,
+            feed,
+            phase: Phase::Inject,
+            next: None,
+            ring_full: false,
+            injected: 0,
+            started: now,
+            gauges,
+            wd_total: (0, now),
         }
-        tasks.push(Box::new(AgentTask {
-            core: AgentCore::new(n_mergers),
-            rxs: agent_rx,
-            outcome_rxs,
-            sink: agent_sink,
-            resolver: TablesResolver::new(Arc::clone(&handle)),
-            batch: Vec::new(),
-            obatch: Vec::new(),
-            picks: Vec::new(),
-            pool: Arc::clone(&pool),
-            handle: Arc::clone(&handle),
-            stats: &agent_stats,
-            tele: &telemetry,
-            quiesce: &quiesce,
-            dropped: &dropped,
-        }));
-        for (m, outcome_tx) in outcome_txs.drain(..).enumerate() {
-            tasks.push(Box::new(MergerTask {
-                m,
-                core: MergerCore::new(),
-                rxs: std::mem::take(&mut merger_rx[m]),
-                outcome_tx,
-                outcomes: Vec::new(),
-                out_off: 0,
-                out_attempts: 0,
-                resolver: TablesResolver::new(Arc::clone(&handle)),
-                batch: Vec::new(),
-                pool: Arc::clone(&pool),
-                stats: &merger_stats[m],
-                tele: &telemetry,
-                quiesce: &quiesce,
-                started,
-                merge_deadline_ms,
-            }));
-        }
-        tasks.push(Box::new(CollectorTask {
-            rxs: collector_rx,
-            batch: Vec::new(),
-            pkts: Vec::new(),
-            outputs: Vec::new(),
-            pool: Arc::clone(&pool),
-            handle: Arc::clone(&handle),
-            stats: &collector_stats,
-            tele: &telemetry,
-            quiesce: &quiesce,
-            delivered: &delivered,
-            keep_packets,
-            slot: &outputs_slot,
-        }));
-        // Front section: classifier + NFs. Back section: agent + mergers
-        // + collector. Budgets ≥ 2 never mix the sections, so a blocking
-        // NF cannot starve merge-deadline enforcement.
-        let groups = crate::exec::plan_pipeline_groups(1 + n_nfs, 2 + n_mergers, core_budget);
+    }
 
-        crossbeam::thread::scope(|scope| {
-            // One thread per group, each round-robining its stage tasks.
-            let mut group_handles = Vec::with_capacity(groups.len());
-            let mut task_iter = tasks.into_iter();
-            for (g, range) in groups.iter().enumerate() {
-                let mut cores: Vec<Box<dyn crate::exec::StageCore + '_>> =
-                    task_iter.by_ref().take(range.len()).collect();
-                let hub_ref = &hub;
-                let pin = (!pin_cpus.is_empty()).then(|| pin_cpus[g % pin_cpus.len()]);
-                group_handles.push(scope.spawn(move |_| {
-                    crate::exec::drive(&mut cores, hub_ref, idle_policy, pin);
-                }));
-            }
-
-            // Cooperative stall watchdog, polled from this thread's wait
-            // loops: when the whole engine makes no progress for
-            // `stall_timeout` while some NF sits busy with a static
-            // heartbeat, that NF is holding the pipeline hostage — hand
-            // down a failed verdict so its task force-fails the runtime
-            // the next time the NF yields control back (an NF that never
-            // returns at all is unrecoverable; see DESIGN.md).
-            let mut wd_total: (u64, Instant) = (0, Instant::now());
-            let mut wd_hb: Vec<(u64, Instant)> = (0..n_nfs).map(|_| (0, Instant::now())).collect();
-            let mut check_stall = || {
-                let now = Instant::now();
-                let total = delivered.load(Ordering::Acquire) + dropped.load(Ordering::Acquire);
-                if total != wd_total.0 {
-                    wd_total = (total, now);
-                }
-                for (i, slot) in wd_hb.iter_mut().enumerate() {
-                    let hb = heartbeats[i].load(Ordering::Relaxed);
-                    if hb != slot.0 {
-                        *slot = (hb, now);
-                    }
-                }
-                if now.duration_since(wd_total.1) < stall_timeout {
-                    return;
-                }
-                for (i, slot) in wd_hb.iter().enumerate() {
-                    if nf_busy[i].load(Ordering::Acquire)
-                        && now.duration_since(slot.1) >= stall_timeout
-                    {
-                        nf_failed[i].store(true, Ordering::Release);
-                    }
-                }
-            };
-
-            // Closed-loop injection on this thread, idling adaptively
-            // like the stages (the bounded park keeps the watchdog
-            // running; any stage progress notifies the hub and wakes us).
-            let mut idler = crate::exec::Idler::new(&hub, idle_policy);
-            let finished = || delivered.load(Ordering::Acquire) + dropped.load(Ordering::Acquire);
-            // Publish the run's live gauges (no-op without a probe); the
-            // injector loop is the one place that sees every counter.
-            let publish = |injected_now: u64| {
-                if let Some(g) = &gauges {
-                    g.publish(
-                        injected_now,
-                        delivered.load(Ordering::Relaxed),
-                        dropped.load(Ordering::Relaxed),
-                        pool.in_use() as u64,
-                        handle.epoch(),
-                    );
-                }
-            };
-            let mut inject_times: Vec<Instant> = Vec::with_capacity(feed.size_hint());
-            while let Some(pkt) = feed.next() {
-                while (inject_times.len() as u64).saturating_sub(finished()) >= max_in_flight as u64
-                {
-                    check_stall();
-                    publish(inject_times.len() as u64);
-                    idler.idle(|| {
-                        (inject_times.len() as u64).saturating_sub(finished())
-                            < max_in_flight as u64
-                    });
-                }
-                inject_times.push(Instant::now());
-                let mut item = pkt;
-                loop {
-                    match inject_tx.push(item) {
-                        Ok(()) => break,
-                        Err(back) => {
-                            item = back;
-                            check_stall();
-                            idler.idle(|| false);
-                        }
-                    }
-                }
-                publish(inject_times.len() as u64);
-                idler.reset();
-                // The classifier may be parked; its work predicate cannot
-                // see the push without a generation bump.
-                hub.notify();
-            }
-            injected_total = inject_times.len() as u64;
-            // Wait for completion, then stop injection.
-            while finished() < injected_total {
-                check_stall();
-                publish(injected_total);
-                idler.idle(|| finished() >= injected_total);
-            }
-            stop.store(true, Ordering::Release);
-            hub.notify();
-            // Every packet is accounted, but straggler copies of
-            // deadline-expired merges may still be in flight toward their
-            // tombstones. Hold the worker stages until the pool is empty —
-            // only then is it safe to let them exit without leaking.
-            while pool.in_use() > 0 {
-                check_stall();
-                publish(injected_total);
-                idler.idle(|| pool.in_use() == 0);
-            }
-            quiesce.store(true, Ordering::Release);
-            hub.notify();
-            drop(inject_tx);
-
-            for h in group_handles {
-                h.join().expect("engine stage group");
-            }
-
-            let outputs = std::mem::take(&mut *outputs_slot.lock().unwrap());
-            for (pid, t_out, pkt) in outputs {
-                if let Some(t_in) = inject_times.get(pid as usize) {
-                    report_latency.record(t_out.duration_since(*t_in));
-                }
-                if let Some(p) = pkt {
-                    report_packets.push(p);
-                }
-            }
-            // Recover the NFs for subsequent runs, harvesting failure
-            // records on the way out.
-            for (i, slot) in rt_slots.iter().enumerate() {
-                let rt = slot.lock().unwrap().take().expect("nf runtime returned");
-                let failure = rt.failure().cloned();
-                let policy = rt.failure_policy();
-                let (bypassed, policy_drops) = (rt.bypassed, rt.policy_drops);
-                let nf = rt.into_nf();
-                if let Some(kind) = failure {
-                    nf_failures.push(NfFailure {
-                        node: i,
-                        nf: nf.name().to_string(),
-                        kind,
-                        policy,
-                        bypassed,
-                        policy_drops,
-                    });
-                }
-                self.nfs.push(nf);
-            }
-        })
-        .expect("engine scope");
-
-        if let Some(g) = &gauges {
-            g.publish(
-                injected_total,
-                delivered.load(Ordering::Acquire),
-                dropped.load(Ordering::Acquire),
-                pool.in_use() as u64,
-                handle.epoch(),
-            );
-            g.active.store(false, Ordering::Release);
-        }
-
-        let report = EngineReport {
-            injected: injected_total,
-            delivered: delivered.load(Ordering::Acquire),
-            dropped: dropped.load(Ordering::Acquire),
-            elapsed: started.elapsed(),
-            latency: report_latency.summary(),
-            packets: report_packets,
-            stats: EngineStats {
-                classifier: classifier_stats.snapshot(),
-                nfs: nf_stats.iter().map(StageStats::snapshot).collect(),
-                agent: agent_stats.snapshot(),
-                mergers: merger_stats.iter().map(StageStats::snapshot).collect(),
-                collector: collector_stats.snapshot(),
-            },
-            failures: nf_failures,
-            pool_in_use: pool.in_use(),
-            epoch: handle.epoch(),
-            epochs: handle.tallies(),
-            telemetry: telemetry.snapshot(),
-            migration: MigrationStats::default(),
-        };
-        (report, report_latency, feed.take_error())
+    fn window(&self) -> u64 {
+        self.config.max_in_flight.max(1) as u64
     }
 
     /// Export each NF's per-flow state, one [`FlowSnapshot`] per NF
@@ -1648,7 +1373,7 @@ impl Engine {
     /// between runs — the closed loop guarantees no packet is in flight
     /// then, so the snapshot is a consistent cut.
     pub fn export_flow_state(&self) -> Vec<FlowSnapshot> {
-        self.nfs.iter().map(|nf| nf.snapshot_state()).collect()
+        self.with_runtimes(|_, rt| rt.nf().snapshot_state())
     }
 
     /// Restore per-position snapshots exported by [`Engine::export_flow_state`]
@@ -1656,18 +1381,293 @@ impl Engine {
     /// Positions beyond the snapshot vector, and empty snapshots, are
     /// left untouched.
     pub fn import_flow_state(&mut self, snaps: &[FlowSnapshot]) {
-        for (nf, snap) in self.nfs.iter_mut().zip(snaps) {
-            if !snap.is_empty() {
-                nf.restore_state(snap);
-            }
-        }
+        let mut snaps = snaps.iter();
+        self.with_runtimes(|_, rt| match snaps.next() {
+            Some(snap) if !snap.is_empty() => rt.nf_mut().restore_state(snap),
+            _ => {}
+        });
     }
 
     /// Tell every NF which shard partition this engine serves, arming
     /// the debug-build RSS-ownership assertions on their flow tables.
     pub fn bind_partition(&mut self, index: usize, total: usize) {
-        for nf in &mut self.nfs {
-            nf.bind_partition(index, total);
+        self.with_runtimes(|_, rt| rt.nf_mut().bind_partition(index, total));
+    }
+
+    /// Apply `f` to every NF runtime, in `NodeId` order, between
+    /// sessions (when the runtimes are parked in their slots).
+    fn with_runtimes<R>(&self, mut f: impl FnMut(usize, &mut NfRt) -> R) -> Vec<R> {
+        let slots = self.ctx.runtimes.iter().enumerate();
+        slots
+            .map(|(i, slot)| {
+                f(
+                    i,
+                    slot.lock()
+                        .expect(POISONED)
+                        .as_mut()
+                        .expect("runtime parked"),
+                )
+            })
+            .collect()
+    }
+}
+
+impl Drop for Engine {
+    /// Shut the session gate and join every stage thread.
+    fn drop(&mut self) {
+        self.ctx.gate.shut();
+        self.ctx.hub.notify();
+        for t in self.threads.drain(..) {
+            // A panicked thread already failed its session.
+            let _ = t.join();
+        }
+    }
+}
+
+/// A session's report, raw latency samples and first ingress error.
+pub(crate) type SessionResult = (EngineReport, LatencyRecorder, Option<IoError>);
+
+/// Where a session stands on the caller side: injecting, waiting for
+/// every packet to finish, for the pool to drain (stop raised), for every
+/// thread to leave (quiesce raised), done.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    Inject,
+    Drain,
+    PoolDrain,
+    Join,
+    Done,
+}
+
+/// One session on a live [`Engine`], driven from the caller thread
+/// without blocking: [`Session::poll`] injects what the window and the
+/// ring allow and advances the stop → pool drain → quiesce → join
+/// phases. A sharded fleet polls all its shards' sessions from one
+/// thread ([`drive_sessions`]).
+pub(crate) struct Session<'a> {
+    engine: &'a Engine,
+    feed: Feed<'a>,
+    id: u64,
+    phase: Phase,
+    /// A packet pulled from the feed but not yet injected.
+    next: Option<Packet>,
+    /// The last push found the injection ring full.
+    ring_full: bool,
+    injected: u64,
+    started: Instant,
+    gauges: Option<Arc<crate::audit::ProbeGauges>>,
+    wd_total: (u64, Instant),
+    wd_hb: Vec<(u64, Instant)>,
+}
+
+impl Session<'_> {
+    /// Make whatever progress is possible without waiting; returns true
+    /// if anything moved.
+    pub(crate) fn poll(&mut self) -> bool {
+        let engine = self.engine;
+        let ctx = &*engine.ctx;
+        let mut progress = false;
+        loop {
+            match self.phase {
+                Phase::Inject => {
+                    if self.next.is_none() {
+                        self.next = self.feed.next();
+                        if self.next.is_none() {
+                            self.phase = Phase::Drain;
+                            continue;
+                        }
+                    }
+                    if self.in_flight() >= engine.window() {
+                        break;
+                    }
+                    // Stamp the injection so the collector can time the
+                    // packet against it, whatever PID it is admitted as.
+                    let mut pkt = self.next.take().expect("pulled above");
+                    pkt.set_meta(pkt.meta().with_inject_ns(ctx.now_ns()));
+                    match engine.inject_tx.push(pkt) {
+                        Ok(()) => {
+                            self.injected += 1;
+                            self.ring_full = false;
+                            progress = true;
+                            self.publish();
+                            // The classifier may be parked; its work
+                            // predicate cannot see the push without a
+                            // generation bump.
+                            ctx.hub.notify();
+                        }
+                        Err(back) => {
+                            self.next = Some(back);
+                            self.ring_full = true;
+                            break;
+                        }
+                    }
+                }
+                Phase::Drain if ctx.finished() >= self.injected => {
+                    ctx.stop.store(self.id, Ordering::Release);
+                    ctx.hub.notify();
+                    self.phase = Phase::PoolDrain;
+                    progress = true;
+                }
+                Phase::PoolDrain if ctx.pool.in_use() == 0 => {
+                    ctx.quiesce.store(self.id, Ordering::Release);
+                    ctx.hub.notify();
+                    self.phase = Phase::Join;
+                    progress = true;
+                }
+                Phase::Join if self.joined() => {
+                    self.phase = Phase::Done;
+                    progress = true;
+                }
+                _ => break,
+            }
+        }
+        if !progress && self.phase != Phase::Done {
+            self.check_stall();
+            self.publish();
+        }
+        progress
+    }
+
+    fn in_flight(&self) -> u64 {
+        self.injected.saturating_sub(self.engine.ctx.finished())
+    }
+
+    fn joined(&self) -> bool {
+        self.engine.ctx.gate.left() >= self.id * self.engine.threads.len() as u64
+    }
+
+    /// The condition the session is waiting on now holds (the pre-park
+    /// re-check for [`crate::exec::Idler::idle`]).
+    pub(crate) fn ready(&self) -> bool {
+        let ctx = &*self.engine.ctx;
+        match self.phase {
+            Phase::Inject => !self.ring_full && self.in_flight() < self.engine.window(),
+            Phase::Drain => ctx.finished() >= self.injected,
+            Phase::PoolDrain => ctx.pool.in_use() == 0,
+            Phase::Join => self.joined(),
+            Phase::Done => false,
+        }
+    }
+
+    /// Every stage thread has left the session.
+    pub(crate) fn done(&self) -> bool {
+        self.phase == Phase::Done
+    }
+
+    /// Publish the session's live gauges (no-op without a probe); the
+    /// caller side is the one place that sees every counter.
+    fn publish(&self) {
+        if let Some(g) = &self.gauges {
+            let ctx = &*self.engine.ctx;
+            g.publish(
+                self.injected,
+                ctx.delivered.load(Ordering::Relaxed),
+                ctx.dropped.load(Ordering::Relaxed),
+                ctx.pool.in_use() as u64,
+                ctx.handle.epoch(),
+            );
+        }
+    }
+
+    /// Cooperative stall watchdog, run whenever the session waits: when
+    /// the whole engine makes no progress for `stall_timeout` while some
+    /// NF sits busy with a static heartbeat, that NF is holding the
+    /// pipeline hostage — hand down a failed verdict so its task
+    /// force-fails the runtime the next time the NF yields control back
+    /// (an NF that never returns at all is unrecoverable; see DESIGN.md).
+    fn check_stall(&mut self) {
+        let engine = self.engine;
+        let ctx = &*engine.ctx;
+        assert!(
+            !engine.threads.iter().any(|t| t.is_finished()),
+            "engine stage thread exited mid-session"
+        );
+        let now = Instant::now();
+        let total = ctx.finished();
+        if total != self.wd_total.0 {
+            self.wd_total = (total, now);
+        }
+        for (w, slot) in ctx.watch.iter().zip(self.wd_hb.iter_mut()) {
+            let hb = w.hb.load(Ordering::Relaxed);
+            if hb != slot.0 {
+                *slot = (hb, now);
+            }
+        }
+        let stall = engine.config.stall_timeout;
+        if now.duration_since(self.wd_total.1) < stall {
+            return;
+        }
+        for (w, slot) in ctx.watch.iter().zip(&self.wd_hb) {
+            if w.busy.load(Ordering::Acquire) && now.duration_since(slot.1) >= stall {
+                w.failed.store(true, Ordering::Release);
+            }
+        }
+    }
+
+    /// Harvest a finished session into its report.
+    pub(crate) fn finish(mut self) -> SessionResult {
+        debug_assert!(self.done(), "finish before every thread left");
+        self.publish();
+        if let Some(g) = &self.gauges {
+            g.active.store(false, Ordering::Release);
+        }
+        let ctx = &*self.engine.ctx;
+        let outputs = std::mem::take(&mut *ctx.outputs.lock().expect(POISONED));
+        let mut latency = LatencyRecorder::with_capacity(outputs.len());
+        let mut packets = Vec::new();
+        for (sample, pkt) in outputs {
+            latency.record(sample);
+            packets.extend(pkt);
+        }
+        let failures = self.engine.with_runtimes(|node, rt| {
+            rt.failure().cloned().map(|kind| NfFailure {
+                node,
+                nf: rt.nf().name().to_string(),
+                kind,
+                policy: rt.failure_policy(),
+                bypassed: rt.bypassed,
+                policy_drops: rt.policy_drops,
+            })
+        });
+        let report = EngineReport {
+            injected: self.injected,
+            delivered: ctx.delivered.load(Ordering::Acquire),
+            dropped: ctx.dropped.load(Ordering::Acquire),
+            elapsed: self.started.elapsed(),
+            latency: latency.summary(),
+            packets,
+            stats: EngineStats {
+                classifier: ctx.classifier_stats.snapshot(),
+                nfs: ctx.nf_stats.iter().map(StageStats::snapshot).collect(),
+                agent: ctx.agent_stats.snapshot(),
+                mergers: ctx.merger_stats.iter().map(StageStats::snapshot).collect(),
+                collector: ctx.collector_stats.snapshot(),
+            },
+            failures: failures.into_iter().flatten().collect(),
+            pool_in_use: ctx.pool.in_use(),
+            epoch: ctx.handle.epoch(),
+            epochs: ctx.handle.tallies(),
+            telemetry: ctx.tele.snapshot(),
+            migration: MigrationStats::default(),
+        };
+        (report, latency, self.feed.take_error())
+    }
+}
+
+/// Drive `sessions` to completion from the calling thread, idling
+/// adaptively (spin → yield → park on `hub`) whenever no session can make
+/// progress; any stage progress notifies the hub and wakes the caller.
+pub(crate) fn drive_sessions(sessions: &mut [Session<'_>], hub: &WakeHub, policy: IdlePolicy) {
+    let mut idler = Idler::new(hub, policy);
+    while !sessions.iter().all(Session::done) {
+        let mut progress = false;
+        for s in sessions.iter_mut() {
+            progress |= s.poll();
+        }
+        if progress {
+            idler.reset();
+        } else {
+            idler.idle(|| sessions.iter().any(Session::ready));
         }
     }
 }

@@ -15,6 +15,8 @@
 //! * [`StageCore`] + [`drive`] — the run-to-completion scheduling loop
 //!   that round-robins a group's stages, passing a full burst through
 //!   each stage per pass;
+//! * [`SessionGate`] + [`serve`] — the long-lived stage thread: blocked
+//!   on the gate between sessions, driving its group through each one;
 //! * [`IdlePolicy`] / [`Idler`] / [`WakeHub`] — the shared spin → yield
 //!   → park backoff, with an eventcount so ring producers can wake
 //!   parked consumers without a lost-wakeup window;
@@ -24,9 +26,9 @@
 
 use std::cell::Cell;
 use std::ops::{Deref, DerefMut, Range};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, OnceLock};
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
+use std::time::{Duration, Instant};
 
 /// Pads and aligns a value to a 64-byte cache line so two adjacent
 /// values never share a line (the false-sharing audit's workhorse).
@@ -101,18 +103,32 @@ impl Default for IdlePolicy {
 /// or the notifier sees the registered sleeper and broadcasts under
 /// the same mutex the waiter sleeps on. The bounded `park_timeout`
 /// additionally covers paths that do not notify (e.g. pool releases).
+///
+/// A hub may have a *parent* that every notification is forwarded to:
+/// each shard of a fleet parks its stage threads on its own hub, and the
+/// one thread driving every shard parks on the shared parent — woken by
+/// progress anywhere, without shards waking each other.
 #[derive(Debug, Default)]
 pub struct WakeHub {
     generation: AtomicU64,
     sleepers: AtomicU32,
     lock: Mutex<()>,
     cv: Condvar,
+    parent: Option<Arc<WakeHub>>,
 }
 
 impl WakeHub {
     /// New hub with no sleepers.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// New hub forwarding every notification to `parent` as well.
+    pub fn with_parent(parent: Arc<WakeHub>) -> Self {
+        Self {
+            parent: Some(parent),
+            ..Self::default()
+        }
     }
 
     /// Record that new work may exist and wake any parked threads.
@@ -123,6 +139,9 @@ impl WakeHub {
             // their wait, so the broadcast cannot land in the gap.
             drop(self.lock.lock().unwrap());
             self.cv.notify_all();
+        }
+        if let Some(parent) = &self.parent {
+            parent.notify();
         }
     }
 
@@ -265,22 +284,13 @@ pub fn plan_pipeline_groups(front: usize, back: usize, budget: usize) -> Vec<Ran
 pub fn pin_current_thread(cpu: usize) -> bool {
     #[cfg(target_os = "linux")]
     {
-        // std already links libc; declare the one call we need instead
-        // of adding a libc dependency.
-        #[repr(C)]
-        struct CpuSet {
-            bits: [u64; 16],
-        }
-        extern "C" {
-            fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const CpuSet) -> i32;
-        }
         if cpu >= 16 * 64 {
             return false;
         }
-        let mut set = CpuSet { bits: [0; 16] };
-        set.bits[cpu / 64] |= 1u64 << (cpu % 64);
-        // pid 0 = calling thread.
-        unsafe { sched_setaffinity(0, std::mem::size_of::<CpuSet>(), &set) == 0 }
+        let set = affinity::CpuSet::single(cpu);
+        // SAFETY: `set` is a live, initialised mask of `SIZE` bytes that
+        // the call only reads.
+        unsafe { affinity::sched_setaffinity(0, affinity::SIZE, &set) == 0 }
     }
     #[cfg(not(target_os = "linux"))]
     {
@@ -289,34 +299,300 @@ pub fn pin_current_thread(cpu: usize) -> bool {
     }
 }
 
+#[cfg(target_os = "linux")]
+mod affinity {
+    #[repr(C)]
+    pub struct CpuSet {
+        pub bits: [u64; 16],
+    }
+
+    impl CpuSet {
+        pub fn single(cpu: usize) -> Self {
+            let mut set = CpuSet { bits: [0; 16] };
+            set.bits[cpu / 64] |= 1u64 << (cpu % 64);
+            set
+        }
+
+        pub fn cpus(&self) -> Vec<usize> {
+            (0..16 * 64)
+                .filter(|&c| self.bits[c / 64] & (1u64 << (c % 64)) != 0)
+                .collect()
+        }
+    }
+
+    // std already links libc; declare the calls we need instead of
+    // adding a libc dependency. pid 0 = calling thread.
+    extern "C" {
+        pub fn sched_getaffinity(pid: i32, cpusetsize: usize, mask: *mut CpuSet) -> i32;
+        pub fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const CpuSet) -> i32;
+        pub fn sched_getcpu() -> i32;
+    }
+
+    pub const SIZE: usize = std::mem::size_of::<CpuSet>();
+
+    /// The calling thread's affinity mask.
+    pub fn current() -> Option<CpuSet> {
+        let mut mask = CpuSet { bits: [0; 16] };
+        // SAFETY: `mask` is a writable buffer of exactly `SIZE` bytes.
+        (unsafe { sched_getaffinity(0, SIZE, &mut mask) } == 0).then_some(mask)
+    }
+}
+
+/// The CPU `k` places after the calling thread's current one in its
+/// affinity mask (wrapping), or `None` when there is no choice to make
+/// (a single allowed CPU, or a non-Linux target). Engines use it to
+/// spread their stage threads relative to the thread that builds them.
+pub fn cpu_after_current(k: usize) -> Option<usize> {
+    #[cfg(target_os = "linux")]
+    {
+        let cpus = affinity::current()?.cpus();
+        // SAFETY: takes no arguments and touches no memory.
+        let here = unsafe { affinity::sched_getcpu() };
+        if cpus.len() < 2 || here < 0 {
+            return None;
+        }
+        let i = cpus.iter().position(|&c| c == here as usize).unwrap_or(0);
+        Some(cpus[(i + k) % cpus.len()])
+    }
+    #[cfg(not(target_os = "linux"))]
+    {
+        let _ = k;
+        None
+    }
+}
+
+/// Best-effort one-time move of the calling thread onto `cpu`, keeping
+/// its affinity mask: a nudge, not a pin — the scheduler stays free to
+/// migrate it later. Returns `true` if the thread was moved. No-op
+/// (returns `false`) on non-Linux targets.
+///
+/// Long-lived stage threads block at their session gate right after
+/// spawning, so to the kernel's fork balancer every new one looks idle
+/// and they all stack on the same CPU; placing each once at spawn keeps
+/// two busy stage groups from sharing a core while another sits idle.
+pub fn nudge_current_thread(cpu: usize) -> bool {
+    #[cfg(target_os = "linux")]
+    {
+        let Some(mask) = affinity::current() else {
+            return false;
+        };
+        if cpu >= 16 * 64 {
+            return false;
+        }
+        let one = affinity::CpuSet::single(cpu);
+        // SAFETY: both masks are live, initialised and `SIZE` bytes long;
+        // the calls only read them.
+        let moved = unsafe { affinity::sched_setaffinity(0, affinity::SIZE, &one) } == 0;
+        unsafe { affinity::sched_setaffinity(0, affinity::SIZE, &mask) };
+        moved
+    }
+    #[cfg(not(target_os = "linux"))]
+    {
+        let _ = cpu;
+        false
+    }
+}
+
+/// Where a stage thread runs: pinned to a CPU, nudged onto one once at
+/// spawn ([`nudge_current_thread`]), or wherever the scheduler puts it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Placement {
+    /// Pinned for the thread's lifetime ([`pin_current_thread`]).
+    Pin(usize),
+    /// Moved onto the CPU once, then free.
+    Nudge(usize),
+    /// Left to the scheduler.
+    Any,
+}
+
 /// One stage task (classifier, NF, agent, merger, collector) as seen by
 /// the group scheduler. A `pass` drains a burst from the stage's input
 /// rings and pushes the results downstream without blocking; blocking
 /// would deadlock a group whose consumer stage lives on the same thread.
 pub trait StageCore: Send {
+    /// Called once at the start of every session, before the first
+    /// pass: reset per-session state (counters, sequence numbers,
+    /// clocks) and take back anything the engine parked between
+    /// sessions.
+    fn begin(&mut self, _session: u64) {}
     /// Run one burst pass. Returns `true` if any work was done.
     fn pass(&mut self) -> bool;
     /// Work is visibly available (used as the pre-park re-check).
     fn ready(&self) -> bool;
     /// The stage has been told to quiesce and has nothing buffered.
     fn done(&self) -> bool;
-    /// Called exactly once after the group loop exits; hand results
-    /// (runtimes, collected outputs) back to the engine.
+    /// Called exactly once after the group loop exits a session; hand
+    /// results (runtimes, collected outputs) back to the engine.
     fn finish(&mut self) {}
 }
 
-/// Group scheduling loop: round-robin `cores` until all report done,
-/// idling per `policy` on no-progress passes. Producers elsewhere (and
-/// this loop itself, after a productive pass) notify `hub`.
+/// How long a stage thread keeps polling the session gate (yielding)
+/// before it blocks. Covers the gap between back-to-back sessions, so a
+/// session opened right after the last one finds its threads awake
+/// instead of paying a futex wake and a fresh CPU placement per thread.
+pub const GATE_GRACE: Duration = Duration::from_micros(100);
+
+const GATE_POISONED: &str = "session gate poisoned: a thread panicked holding it";
+
+/// Where a long-lived stage thread waits between sessions.
+///
+/// A session is a generation number: [`SessionGate::open`] publishes the
+/// next one and wakes every waiting thread; each thread runs the session
+/// and calls [`SessionGate::leave`]. After a short [`GATE_GRACE`] of
+/// polling, waiters block on the gate's condvar with **no timeout**, so a
+/// built but idle engine costs no CPU. A thread can neither miss a
+/// session nor run one twice: it only ever waits for a generation *past*
+/// the one it last served, and the generation is published under the
+/// same mutex the waiters block on.
+#[derive(Debug, Default)]
+pub struct SessionGate {
+    state: Mutex<GateState>,
+    cv: Condvar,
+    /// Lock-free mirror of the newest session, for the grace poll.
+    opened: AtomicU64,
+    /// Thread-sessions completed over the gate's lifetime (monotone, so
+    /// the opener waits for `session × threads` without any reset).
+    left: AtomicU64,
+    /// Threads that have taken up their placement and reached the gate.
+    arrived: AtomicU64,
+    shutdown: AtomicBool,
+}
+
+#[derive(Debug, Default)]
+struct GateState {
+    session: u64,
+    shutdown: bool,
+}
+
+impl SessionGate {
+    /// Gate with no session opened yet.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Open session `session` (must exceed every earlier one) and wake
+    /// every thread waiting at the gate. Everything written before `open`
+    /// is visible to a thread once [`SessionGate::wait_past`] returns the
+    /// session: the generation is stored with `Release` (and under the
+    /// mutex) and read with `Acquire` (or under the mutex).
+    pub fn open(&self, session: u64) {
+        let mut st = self.state.lock().expect(GATE_POISONED);
+        debug_assert!(session > st.session, "sessions are strictly increasing");
+        st.session = session;
+        self.opened.store(session, Ordering::Release);
+        drop(st);
+        self.cv.notify_all();
+    }
+
+    /// Wait until a session newer than `seen` opens: poll for
+    /// [`GATE_GRACE`], then block. `None` once the gate is shut.
+    pub fn wait_past(&self, seen: u64) -> Option<u64> {
+        let grace = Instant::now();
+        while grace.elapsed() < GATE_GRACE {
+            if self.is_shut() {
+                return None;
+            }
+            let session = self.opened.load(Ordering::Acquire);
+            if session > seen {
+                return Some(session);
+            }
+            std::thread::yield_now();
+        }
+        let mut st = self.state.lock().expect(GATE_POISONED);
+        loop {
+            if st.shutdown {
+                return None;
+            }
+            if st.session > seen {
+                return Some(st.session);
+            }
+            st = self.cv.wait(st).expect(GATE_POISONED);
+        }
+    }
+
+    /// Record that one more thread is up and waiting at the gate.
+    pub fn arrive(&self) {
+        self.arrived.fetch_add(1, Ordering::AcqRel);
+    }
+
+    /// Yield until `threads` threads have arrived. Placement cannot
+    /// fail, so every spawned thread arrives.
+    pub fn wait_arrived(&self, threads: u64) {
+        while self.arrived.load(Ordering::Acquire) < threads {
+            std::thread::yield_now();
+        }
+    }
+
+    /// Record that one thread finished its current session.
+    pub fn leave(&self) {
+        self.left.fetch_add(1, Ordering::AcqRel);
+    }
+
+    /// Thread-sessions completed so far.
+    pub fn left(&self) -> u64 {
+        self.left.load(Ordering::Acquire)
+    }
+
+    /// Shut the gate for good: waiting threads return `None`, and
+    /// threads still inside a session abandon it at their next pass.
+    pub fn shut(&self) {
+        self.shutdown.store(true, Ordering::Release);
+        // Called from `Drop`: must not panic, and a one-flag update
+        // leaves the state valid whatever poisoned the lock.
+        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        st.shutdown = true;
+        drop(st);
+        self.cv.notify_all();
+    }
+
+    /// Whether [`SessionGate::shut`] has been called.
+    pub fn is_shut(&self) -> bool {
+        self.shutdown.load(Ordering::Relaxed)
+    }
+}
+
+/// Body of one long-lived stage thread: take up its [`Placement`], then
+/// serve every session the gate opens — reset the group's stages, drive
+/// them until they quiesce, hand results back, leave — until the gate
+/// shuts.
+pub fn serve(
+    mut cores: Vec<Box<dyn StageCore>>,
+    hub: &WakeHub,
+    gate: &SessionGate,
+    policy: IdlePolicy,
+    placement: Placement,
+) {
+    match placement {
+        Placement::Pin(cpu) => pin_current_thread(cpu),
+        Placement::Nudge(cpu) => nudge_current_thread(cpu),
+        Placement::Any => false,
+    };
+    gate.arrive();
+    let mut seen = 0;
+    while let Some(session) = gate.wait_past(seen) {
+        seen = session;
+        for core in cores.iter_mut() {
+            core.begin(session);
+        }
+        drive(&mut cores, hub, policy, gate);
+        gate.leave();
+        // The opener (and peers) may be parked waiting on this session's
+        // results.
+        hub.notify();
+    }
+}
+
+/// Group scheduling loop for one session: round-robin `cores` until all
+/// report done (or the gate shuts), idling per `policy` on no-progress
+/// passes, then hand results back through [`StageCore::finish`].
+/// Producers elsewhere (and this loop itself, after a productive pass)
+/// notify `hub`.
 pub fn drive(
-    cores: &mut [Box<dyn StageCore + '_>],
+    cores: &mut [Box<dyn StageCore>],
     hub: &WakeHub,
     policy: IdlePolicy,
-    pin: Option<usize>,
+    gate: &SessionGate,
 ) {
-    if let Some(cpu) = pin {
-        pin_current_thread(cpu);
-    }
     let mut idler = Idler::new(hub, policy);
     loop {
         let mut progress = false;
@@ -325,7 +601,7 @@ pub fn drive(
                 progress = true;
             }
         }
-        if cores.iter().all(|c| c.done()) {
+        if cores.iter().all(|c| c.done()) || gate.is_shut() {
             break;
         }
         if progress {
@@ -339,8 +615,6 @@ pub fn drive(
     for core in cores.iter_mut() {
         core.finish();
     }
-    // Peers may be parked waiting on state we just flushed.
-    hub.notify();
 }
 
 /// Ring index cache: a consumer-or-producer-local copy of the *other*
@@ -352,9 +626,6 @@ pub type IndexCache = Cell<usize>;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
-    use std::sync::Arc;
-    use std::time::Instant;
 
     #[test]
     fn plan_groups_partitions_contiguously() {
@@ -445,6 +716,86 @@ mod tests {
             waited < Duration::from_millis(1500),
             "woke after {waited:?}"
         );
+    }
+
+    #[test]
+    fn parent_hub_hears_every_child_notification() {
+        let parent = Arc::new(WakeHub::new());
+        let child = WakeHub::with_parent(Arc::clone(&parent));
+        let flag = Arc::new(AtomicBool::new(false));
+        let (p2, f2) = (Arc::clone(&parent), Arc::clone(&flag));
+        let waiter = std::thread::spawn(move || {
+            let t0 = Instant::now();
+            while !f2.load(Ordering::Acquire) {
+                p2.park(Duration::from_secs(2), || f2.load(Ordering::Acquire));
+            }
+            t0.elapsed()
+        });
+        std::thread::sleep(Duration::from_millis(50));
+        flag.store(true, Ordering::Release);
+        child.notify();
+        let waited = waiter.join().unwrap();
+        assert!(
+            waited < Duration::from_millis(1500),
+            "woke after {waited:?}"
+        );
+    }
+
+    /// The gate's generation protocol: a waiter serves each opened
+    /// session exactly once, never re-serves one, and wakes for shutdown.
+    #[test]
+    fn session_gate_serves_each_session_once_and_shuts() {
+        let gate = Arc::new(SessionGate::new());
+        let served = Arc::new(Mutex::new(Vec::new()));
+        let (g2, s2) = (Arc::clone(&gate), Arc::clone(&served));
+        let worker = std::thread::spawn(move || {
+            let mut seen = 0;
+            while let Some(session) = g2.wait_past(seen) {
+                seen = session;
+                s2.lock().unwrap().push(session);
+                g2.leave();
+            }
+        });
+        for session in 1..=3u64 {
+            // Open some sessions while the worker is blocked (past the
+            // grace), others while it still polls.
+            if session == 2 {
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            gate.open(session);
+            let t0 = Instant::now();
+            while gate.left() < session {
+                assert!(
+                    t0.elapsed() < Duration::from_secs(10),
+                    "session {session} never served"
+                );
+                std::thread::yield_now();
+            }
+        }
+        std::thread::sleep(Duration::from_millis(20));
+        gate.shut();
+        worker.join().unwrap();
+        assert_eq!(*served.lock().unwrap(), [1, 2, 3]);
+        assert!(gate.is_shut());
+        assert_eq!(gate.wait_past(3), None, "a shut gate opens nothing");
+    }
+
+    #[test]
+    fn nudging_keeps_the_affinity_mask() {
+        // Best effort: where there is a choice, the thread lands on the
+        // target and may still run anywhere it could before.
+        let Some(cpu) = cpu_after_current(1) else {
+            return;
+        };
+        let t = std::thread::spawn(move || {
+            let moved = nudge_current_thread(cpu);
+            let after = cpu_after_current(0);
+            (moved, after)
+        });
+        let (moved, after) = t.join().unwrap();
+        if moved {
+            assert!(after.is_some(), "the mask still offers a choice");
+        }
     }
 
     #[test]

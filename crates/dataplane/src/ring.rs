@@ -165,6 +165,79 @@ pub fn push_blocking<T: Send>(p: &Producer<T>, item: T) {
     }
 }
 
+/// Full-ring flushes before a [`Stash`] reports a stall.
+pub const RETRY_LIMIT: u32 = 64;
+
+/// A producer that never blocks: items that do not fit wait in an
+/// overflow buffer, drained from an offset (so a partial burst push does
+/// not shift the remainder), until the next [`Stash::flush`]. Stage
+/// tasks share threads, so the consumer that would relieve a full ring
+/// may run on this very thread — blocking there would deadlock.
+pub struct Stash<T> {
+    p: Producer<T>,
+    buf: Vec<T>,
+    off: usize,
+    attempts: u32,
+}
+
+impl<T: Copy + Send> Stash<T> {
+    /// An empty stash in front of `p`.
+    pub fn new(p: Producer<T>) -> Self {
+        Stash {
+            p,
+            buf: Vec::new(),
+            off: 0,
+            attempts: 0,
+        }
+    }
+
+    /// Queue one item for the next flush.
+    pub fn push(&mut self, item: T) {
+        self.buf.push(item);
+    }
+
+    /// The queue itself, for producers that append in bulk; items are
+    /// flushed in order.
+    pub fn queue(&mut self) -> &mut Vec<T> {
+        &mut self.buf
+    }
+
+    /// Items waiting to be pushed.
+    pub fn queued(&self) -> usize {
+        self.buf.len() - self.off
+    }
+
+    /// Nothing waiting.
+    pub fn is_empty(&self) -> bool {
+        self.queued() == 0
+    }
+
+    /// One non-blocking burst push; returns true if anything moved. A
+    /// ring that stays full for [`RETRY_LIMIT`] consecutive flushes calls
+    /// `on_stall` once (a backpressure event).
+    pub fn flush(&mut self, on_stall: impl FnOnce()) -> bool {
+        if self.is_empty() {
+            return false;
+        }
+        let n = self.p.push_burst(&self.buf[self.off..]);
+        self.off += n;
+        if self.off >= self.buf.len() {
+            self.buf.clear();
+            self.off = 0;
+        }
+        if n == 0 {
+            self.attempts += 1;
+            if self.attempts == RETRY_LIMIT {
+                on_stall();
+            }
+            false
+        } else {
+            self.attempts = 0;
+            true
+        }
+    }
+}
+
 impl<T: Send> Consumer<T> {
     /// Pop an item, if any.
     pub fn pop(&self) -> Option<T> {
@@ -249,6 +322,27 @@ impl<T> Drop for Shared<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn stash_buffers_overflow_and_reports_one_stall() {
+        let (p, c) = channel::<u32>(2);
+        let mut stash = Stash::new(p);
+        stash.queue().extend([1, 2, 3]);
+        let stalls = Cell::new(0);
+        assert!(stash.flush(|| stalls.set(stalls.get() + 1)));
+        assert_eq!(stash.queued(), 1, "the ring took two");
+        for _ in 0..2 * RETRY_LIMIT {
+            assert!(!stash.flush(|| stalls.set(stalls.get() + 1)));
+        }
+        assert_eq!(stalls.get(), 1, "a stall is one event, not one per flush");
+        let mut out = Vec::new();
+        c.pop_burst(&mut out, 8);
+        stash.push(4);
+        assert!(stash.flush(|| unreachable!()));
+        c.pop_burst(&mut out, 8);
+        assert_eq!(out, [1, 2, 3, 4], "order kept across partial pushes");
+        assert!(stash.is_empty());
+    }
 
     #[test]
     fn fifo_order() {

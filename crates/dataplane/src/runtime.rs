@@ -94,6 +94,12 @@ impl<N: NetworkFunction> NfRuntime<N> {
         &self.nf
     }
 
+    /// Mutable access to the wrapped NF (flow-state import, partition
+    /// binding between sessions).
+    pub(crate) fn nf_mut(&mut self) -> &mut N {
+        &mut self.nf
+    }
+
     /// The recorded failure, if this NF has failed.
     pub fn failure(&self) -> Option<&FailureKind> {
         self.failure.as_ref()

@@ -17,8 +17,10 @@
 //! stay shard-local by construction — each replica owns its cores.
 
 use crate::engine::{
-    Engine, EngineConfig, EngineController, EngineError, EngineReport, MigrationStats,
+    drive_sessions, Engine, EngineConfig, EngineController, EngineError, EngineReport, Feed,
+    MigrationStats,
 };
+use crate::exec::WakeHub;
 use crate::stats::EngineStats;
 use crate::swap::{EpochReport, EpochTally, ReconfigError, ShardSwap};
 use crate::telemetry::TelemetrySnapshot;
@@ -28,6 +30,7 @@ use nfp_packet::flow::FlowKey;
 use nfp_packet::io::{Egress, Ingress, IoError, IoRunStats};
 use nfp_packet::Packet;
 use nfp_traffic::LatencyRecorder;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The shard a packet's flow belongs to: the canonical
@@ -108,6 +111,9 @@ pub struct ShardedEngine {
     config: EngineConfig,
     /// Lifetime migration census, surfaced in every run's report.
     migration: MigrationStats,
+    /// Parent of every replica's wake hub: the caller thread drives all
+    /// shards' sessions and parks here between polls.
+    hub: Arc<WakeHub>,
 }
 
 impl ShardedEngine {
@@ -131,13 +137,15 @@ impl ShardedEngine {
         shards: usize,
     ) -> Result<ShardedEngine, EngineError> {
         let make_nfs: Box<dyn Fn() -> Vec<Box<dyn NetworkFunction>> + Send> = Box::new(make_nfs);
-        let engines = Self::build_fleet(program, make_nfs.as_ref(), config, shards)?;
+        let hub = Arc::default();
+        let engines = Self::build_fleet(program, make_nfs.as_ref(), config, shards, &hub)?;
         Ok(ShardedEngine {
             shards: engines,
             program: program.clone(),
             make_nfs,
             config: config.clone(),
             migration: MigrationStats::default(),
+            hub,
         })
     }
 
@@ -150,6 +158,7 @@ impl ShardedEngine {
         make_nfs: &dyn Fn() -> Vec<Box<dyn NetworkFunction>>,
         config: &EngineConfig,
         shards: usize,
+        hub: &Arc<WakeHub>,
     ) -> Result<Vec<Engine>, EngineError> {
         assert!(shards >= 1, "at least one shard");
         if config.core_budget == 0 {
@@ -164,7 +173,13 @@ impl ShardedEngine {
         };
         (0..shards)
             .map(|s| {
-                let mut engine = Engine::new(program.clone(), make_nfs(), shard_config.clone())?;
+                let mut engine = Engine::build(
+                    program.clone(),
+                    make_nfs(),
+                    shard_config.clone(),
+                    WakeHub::with_parent(Arc::clone(hub)),
+                    s,
+                )?;
                 engine.bind_partition(s, shards);
                 Ok(engine)
             })
@@ -269,27 +284,13 @@ impl ShardedEngine {
             self.make_nfs.as_ref(),
             &self.config,
             new_shards,
+            &self.hub,
         )?;
 
         // Re-partition and import: each new shard gets exactly the flows
         // that hash to it under the new shard count.
-        let mut flows_imported = 0u64;
-        let mut shard_migrations = Vec::with_capacity(new_shards);
-        for (s, engine) in fleet.iter_mut().enumerate() {
-            let mut flows_in = 0u64;
-            let parts: Vec<FlowSnapshot> = merged
-                .iter()
-                .map(|m| {
-                    let mut part = m.clone();
-                    part.retain_shard(s, new_shards);
-                    flows_in += part.len() as u64;
-                    part
-                })
-                .collect();
-            engine.import_flow_state(&parts);
-            flows_imported += flows_in;
-            shard_migrations.push(ShardMigration { shard: s, flows_in });
-        }
+        let shard_migrations = import_partitioned(&mut fleet, &merged);
+        let flows_imported = shard_migrations.iter().map(|m| m.flows_in).sum();
 
         self.shards = fleet;
         self.migration.rescales += 1;
@@ -330,6 +331,13 @@ impl ShardedEngine {
         merged
     }
 
+    /// Restore fleet-wide snapshots (one per NF position, as
+    /// [`ShardedEngine::export_flow_state`] returns them), re-partitioned
+    /// onto the shards by the dispatcher's hash. Call between runs.
+    pub fn import_flow_state(&mut self, snaps: &[FlowSnapshot]) -> Vec<ShardMigration> {
+        import_partitioned(&mut self.shards, snaps)
+    }
+
     /// Dispatch `packets` to their shards and run every replica
     /// concurrently, aggregating the per-shard results into one report:
     /// counters sum, per-stage counters fold stage-by-stage
@@ -340,19 +348,7 @@ impl ShardedEngine {
     pub fn run(&mut self, packets: Vec<Packet>) -> EngineReport {
         let parts = partition_by_flow(packets, self.shards.len());
         let started = Instant::now();
-        let mut results: Vec<(EngineReport, LatencyRecorder)> = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter_mut()
-                .zip(parts)
-                .map(|(engine, part)| scope.spawn(move |_| engine.run_with_recorder(part)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard thread"))
-                .collect()
-        })
-        .expect("shard scope");
+        let mut results = self.run_parts(parts);
         let elapsed = started.elapsed();
 
         let mut injected = 0;
@@ -455,20 +451,54 @@ impl ShardedEngine {
     /// sub-stream.
     pub fn run_per_shard(&mut self, packets: Vec<Packet>) -> Vec<EngineReport> {
         let parts = partition_by_flow(packets, self.shards.len());
-        crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter_mut()
-                .zip(parts)
-                .map(|(engine, part)| scope.spawn(move |_| engine.run(part)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard thread"))
-                .collect()
-        })
-        .expect("shard scope")
+        self.run_parts(parts).into_iter().map(|(r, _)| r).collect()
     }
+
+    /// Run one session per shard over its sub-stream, all driven from
+    /// the calling thread: it injects into every shard in turn and parks
+    /// on the fleet's shared hub when none can move.
+    fn run_parts(&mut self, parts: Vec<Vec<Packet>>) -> Vec<(EngineReport, LatencyRecorder)> {
+        let mut sessions: Vec<_> = self
+            .shards
+            .iter_mut()
+            .zip(parts)
+            .map(|(engine, part)| engine.begin(Feed::batch(part)))
+            .collect();
+        drive_sessions(&mut sessions, &self.hub, self.config.idle_policy);
+        sessions
+            .into_iter()
+            .map(|s| {
+                let (report, latency, _) = s.finish();
+                (report, latency)
+            })
+            .collect()
+    }
+}
+
+/// Import per-position fleet-wide snapshots into `fleet`, each shard
+/// receiving exactly the flows that hash to it under the fleet's shard
+/// count ([`FlowSnapshot::retain_shard`] partitions, it never drops).
+fn import_partitioned(fleet: &mut [Engine], merged: &[FlowSnapshot]) -> Vec<ShardMigration> {
+    let shards = fleet.len();
+    fleet
+        .iter_mut()
+        .enumerate()
+        .map(|(s, engine)| {
+            let parts: Vec<FlowSnapshot> = merged
+                .iter()
+                .map(|m| {
+                    let mut part = m.clone();
+                    part.retain_shard(s, shards);
+                    part
+                })
+                .collect();
+            engine.import_flow_state(&parts);
+            ShardMigration {
+                shard: s,
+                flows_in: parts.iter().map(|p| p.len() as u64).sum(),
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]

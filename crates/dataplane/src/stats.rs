@@ -181,6 +181,34 @@ impl StageStats {
         c.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Zero every counter — the start of a session on a long-lived
+    /// engine. Only sound while no stage is recording.
+    pub(crate) fn reset(&self) {
+        for c in [
+            &self.packets_in,
+            &self.packets_out,
+            &self.copies,
+            &self.nil_packets,
+            &self.merges,
+            &self.backpressure,
+            &self.ring_high_water,
+            &self.misroutes,
+            &self.late_arrivals,
+            &self.stale_epochs,
+            &self.epoch_conflicts,
+            &self.drop_nf_verdict,
+            &self.drop_nf_error,
+            &self.drop_merge_resolved,
+            &self.drop_merge_error,
+            &self.drop_admit_rejected,
+            &self.drop_admit_malformed,
+            &self.drop_nf_failed,
+            &self.drop_merge_expired,
+        ] {
+            c.store(0, Ordering::Relaxed);
+        }
+    }
+
     /// Plain-value snapshot of the counters.
     pub fn snapshot(&self) -> StageSnapshot {
         StageSnapshot {

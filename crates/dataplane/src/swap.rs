@@ -32,7 +32,7 @@ use nfp_orchestrator::tables::GraphTables;
 use nfp_orchestrator::{Program, ProgramUpdate, UpdateRejection};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// One live program epoch and its in-flight accounting.
 ///
@@ -362,6 +362,77 @@ impl ProgramHandle {
         });
         out.sort_by_key(|t| t.epoch);
         out
+    }
+}
+
+/// A cloneable, thread-safe handle for reconfiguring a running
+/// [`Engine`](crate::Engine) from outside its run loop: it shares the engine's [`ProgramHandle`]
+/// and knows the fixed executor limits (pool, in-flight window) a
+/// candidate program must fit.
+#[derive(Debug, Clone)]
+pub struct EngineController {
+    pub(crate) handle: Arc<ProgramHandle>,
+    pub(crate) pool_size: usize,
+    pub(crate) max_in_flight: usize,
+    pub(crate) drain_timeout: Duration,
+}
+
+impl EngineController {
+    /// The engine's current program epoch.
+    pub fn epoch(&self) -> u64 {
+        self.handle.epoch()
+    }
+
+    /// Hot-swap `program` in as the new current epoch and wait for the
+    /// superseded epoch to drain (bounded by the engine's stall timeout).
+    ///
+    /// The swap is validated first — footprint against the engine's fixed
+    /// pool, then the orchestrator's compatibility diff — and any
+    /// rejection leaves the running engine untouched. On success the
+    /// returned [`EpochReport`] records the diff, the install-to-retire
+    /// latency and the old epoch's final accounting.
+    pub fn reconfigure(&self, program: Program) -> Result<EpochReport, ReconfigError> {
+        let slots = program.slots_per_packet();
+        let required = self.max_in_flight.max(1) * slots;
+        if self.pool_size < required {
+            return Err(ReconfigError::PoolTooSmall {
+                pool_size: self.pool_size,
+                required,
+                max_in_flight: self.max_in_flight,
+                slots_per_packet: slots,
+            });
+        }
+        let started = Instant::now();
+        let swap = self.handle.install(program)?;
+        let drained = swap.old.in_flight();
+        let deadline = started + self.drain_timeout;
+        let mut spins = 0u32;
+        while !swap.old.drained() {
+            if Instant::now() >= deadline {
+                return Err(ReconfigError::DrainTimeout {
+                    epoch: swap.old.epoch(),
+                    in_flight: swap.old.in_flight(),
+                });
+            }
+            // Back off: drains take packet-scale time, not cycle-scale,
+            // and this controller thread must not steal the engine's core.
+            spins += 1;
+            if spins < 16 {
+                std::thread::yield_now();
+            } else {
+                std::thread::sleep(Duration::from_micros(50));
+            }
+        }
+        self.handle.retire();
+        Ok(EpochReport {
+            from_epoch: swap.old.epoch(),
+            to_epoch: self.handle.epoch(),
+            update: swap.update,
+            swap_latency: started.elapsed(),
+            drained,
+            completed: swap.old.completed(),
+            shards: Vec::new(),
+        })
     }
 }
 

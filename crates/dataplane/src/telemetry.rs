@@ -131,6 +131,17 @@ impl LatencyHistogram {
         atomic_max(&self.max_ns, mean);
     }
 
+    /// Zero the histogram (only sound while nothing records into it).
+    pub(crate) fn reset(&self) {
+        for b in self
+            .buckets
+            .iter()
+            .chain([&self.count, &self.sum_ns, &self.max_ns])
+        {
+            b.store(0, Ordering::Relaxed);
+        }
+    }
+
     /// Plain-value snapshot.
     pub fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
@@ -275,7 +286,7 @@ pub struct TraceHop {
     pub stage: Stage,
     /// Program epoch stamped on the packet at this hop.
     pub epoch: u64,
-    /// Nanoseconds since the engine's telemetry started.
+    /// Nanoseconds since the session's telemetry started.
     pub t_ns: u64,
 }
 
@@ -295,7 +306,6 @@ pub fn stage_label(stage: Stage) -> String {
 #[derive(Debug)]
 pub struct Telemetry {
     config: TelemetryConfig,
-    start: Instant,
     classifier: LatencyHistogram,
     nfs: Vec<LatencyHistogram>,
     agent: LatencyHistogram,
@@ -307,8 +317,15 @@ pub struct Telemetry {
     ingress: LatencyHistogram,
     /// The previous packet's ingress stamp (0 = none yet).
     ingress_prev: AtomicU64,
-    hops: Mutex<Vec<TraceHop>>,
+    trace: Mutex<TraceLog>,
     trace_drops: AtomicU64,
+}
+
+/// Sampled trace hops plus the clock origin their `t_ns` count from.
+#[derive(Debug)]
+struct TraceLog {
+    start: Instant,
+    hops: Vec<TraceHop>,
 }
 
 impl Telemetry {
@@ -317,7 +334,6 @@ impl Telemetry {
     pub fn new(config: TelemetryConfig, nfs: usize, mergers: usize) -> Self {
         Self {
             config,
-            start: Instant::now(),
             classifier: LatencyHistogram::new(),
             nfs: (0..nfs).map(|_| LatencyHistogram::new()).collect(),
             agent: LatencyHistogram::new(),
@@ -325,9 +341,32 @@ impl Telemetry {
             collector: LatencyHistogram::new(),
             ingress: LatencyHistogram::new(),
             ingress_prev: AtomicU64::new(0),
-            hops: Mutex::new(Vec::new()),
+            trace: Mutex::new(TraceLog {
+                start: Instant::now(),
+                hops: Vec::new(),
+            }),
             trace_drops: AtomicU64::new(0),
         }
+    }
+
+    /// Clear every histogram and trace and restart the trace clock, as
+    /// if freshly built — the start of a session on a long-lived engine.
+    /// Only sound while no stage is recording.
+    pub(crate) fn reset(&self) {
+        let hists = [
+            &self.classifier,
+            &self.agent,
+            &self.collector,
+            &self.ingress,
+        ];
+        for h in hists.into_iter().chain(&self.nfs).chain(&self.mergers) {
+            h.reset();
+        }
+        self.ingress_prev.store(0, Ordering::Relaxed);
+        self.trace_drops.store(0, Ordering::Relaxed);
+        let mut trace = self.trace.lock().expect("trace buffer poisoned");
+        trace.start = Instant::now();
+        trace.hops.clear();
     }
 
     /// A recorder that records nothing (for paths that need a `Telemetry`
@@ -426,11 +465,12 @@ impl Telemetry {
             nil,
             stage,
             epoch: meta.epoch(),
-            t_ns: self.start.elapsed().as_nanos() as u64,
+            t_ns: 0,
         };
-        let mut hops = self.hops.lock().expect("trace buffer poisoned");
-        if hops.len() < self.config.trace_capacity {
-            hops.push(hop);
+        let mut trace = self.trace.lock().expect("trace buffer poisoned");
+        if trace.hops.len() < self.config.trace_capacity {
+            let t_ns = trace.start.elapsed().as_nanos() as u64;
+            trace.hops.push(TraceHop { t_ns, ..hop });
         } else {
             self.trace_drops.fetch_add(1, Ordering::Relaxed);
         }
@@ -455,12 +495,13 @@ impl Telemetry {
         if !self.tracing() {
             return;
         }
-        let mut hops = self.hops.lock().expect("trace buffer poisoned");
-        if let Some(pos) = hops
+        let mut trace = self.trace.lock().expect("trace buffer poisoned");
+        if let Some(pos) = trace
+            .hops
             .iter()
             .rposition(|h| h.stage == Stage::Classifier && h.pid == pid)
         {
-            hops.remove(pos);
+            trace.hops.remove(pos);
         }
     }
 
@@ -497,7 +538,12 @@ impl Telemetry {
         });
         TelemetrySnapshot {
             stages,
-            hops: self.hops.lock().expect("trace buffer poisoned").clone(),
+            hops: self
+                .trace
+                .lock()
+                .expect("trace buffer poisoned")
+                .hops
+                .clone(),
             trace_drops: self.trace_drops.load(Ordering::Relaxed),
         }
     }

@@ -32,6 +32,10 @@
 //!   receive time), in nanoseconds; 0 means "not stamped" (synthetic
 //!   traffic). The classifier preserves it through admission and feeds
 //!   inter-arrival gaps into the telemetry `ingress` histogram.
+//! * **inject_ns** — when the threaded engine handed the packet to its
+//!   classifier, in nanoseconds on the engine's own clock. The classifier
+//!   preserves it through admission, so the collector times each
+//!   delivered packet against its *own* injection, whatever PID it got.
 //!
 //! No sidecar crosses the wire — the paper's 64-bit word stays exactly
 //! as Figure 5 specifies — so [`Metadata::to_raw`]/[`Metadata::from_raw`]
@@ -63,6 +67,7 @@ pub struct Metadata {
     traced: bool,
     flow: Option<FlowKey>,
     ingress_ns: u64,
+    inject_ns: u64,
 }
 
 impl Metadata {
@@ -81,6 +86,7 @@ impl Metadata {
             traced: false,
             flow: None,
             ingress_ns: 0,
+            inject_ns: 0,
         }
     }
 
@@ -154,6 +160,17 @@ impl Metadata {
         Self { ingress_ns, ..self }
     }
 
+    /// When the engine injected this packet, in nanoseconds on the
+    /// engine's clock (host-side sidecar; 0 outside the threaded engine).
+    pub fn inject_ns(self) -> u64 {
+        self.inject_ns
+    }
+
+    /// Same metadata carrying the engine's injection stamp.
+    pub fn with_inject_ns(self, inject_ns: u64) -> Self {
+        Self { inject_ns, ..self }
+    }
+
     /// Same metadata with a different version — used when the runtime
     /// executes a `copy(v1, v2)` action. The epoch and trace sidecars are
     /// preserved: copies of a packet always belong to the epoch that
@@ -182,6 +199,7 @@ impl Metadata {
             traced: false,
             flow: None,
             ingress_ns: 0,
+            inject_ns: 0,
         }
     }
 }

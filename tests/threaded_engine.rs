@@ -264,3 +264,56 @@ fn parked_engine_wakes_for_late_burst() {
         report.elapsed
     );
 }
+
+/// An ingress that yields malformed frames, stalls, then yields valid
+/// frames: the rejects take no PIDs, so the valid frames' PIDs start at
+/// 0 while the first injections happened before the stall.
+struct StallingIngress {
+    bursts: std::collections::VecDeque<(std::time::Duration, Vec<Packet>)>,
+}
+
+impl nfp_packet::io::Ingress for StallingIngress {
+    fn next_burst(&mut self, _max: usize) -> Result<Option<Vec<Packet>>, nfp_packet::io::IoError> {
+        Ok(self.bursts.pop_front().map(|(stall, pkts)| {
+            std::thread::sleep(stall);
+            pkts
+        }))
+    }
+}
+
+#[test]
+fn latency_is_timed_from_each_packets_own_injection() {
+    let stall = std::time::Duration::from_millis(50);
+    let (compiled, program) = build(&["Monitor", "Firewall"]);
+    let nfs: Vec<_> = compiled
+        .graph
+        .nodes
+        .iter()
+        .map(|n| make(n.name.as_str()))
+        .collect();
+    let mut engine = Engine::new(
+        program,
+        nfs,
+        EngineConfig {
+            max_in_flight: 1,
+            ..EngineConfig::default()
+        },
+    )
+    .unwrap();
+    let malformed: Vec<Packet> = (0..8)
+        .map(|_| Packet::from_bytes(&[0xab; 20]).unwrap())
+        .collect();
+    let mut ingress = StallingIngress {
+        bursts: [(std::time::Duration::ZERO, malformed), (stall, traffic(16))].into(),
+    };
+    let mut egress = nfp_packet::io::CollectEgress::default();
+    let (report, io) = engine.run_io(&mut ingress, &mut egress).unwrap();
+    assert_eq!(io.rejected, 8);
+    assert_eq!(report.delivered + report.dropped, 24);
+    let latency = report.latency.expect("valid frames were delivered");
+    assert!(
+        latency.max < stall,
+        "a delivered packet was timed against an earlier packet's injection: max {:?}",
+        latency.max
+    );
+}
