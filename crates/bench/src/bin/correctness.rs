@@ -7,7 +7,7 @@
 //! same execution results as the sequential service chain."
 
 use nfp_baseline::RunToCompletion;
-use nfp_bench::setups::{compile_chain, datacenter_traffic, make_nf};
+use nfp_bench::setups::{compile_chain, datacenter_traffic, make_nf, nf_factory};
 use nfp_dataplane::sync_engine::{ProcessOutcome, SyncEngine};
 
 fn main() {
@@ -19,13 +19,7 @@ fn main() {
     ] {
         let compiled = compile_chain(chain);
         let program = compiled.program(1).unwrap();
-        let nfs_par: Vec<_> = compiled
-            .graph
-            .nodes
-            .iter()
-            .map(|n| make_nf(n.name.as_str()))
-            .collect();
-        let mut parallel = SyncEngine::new(program, nfs_par, 128);
+        let mut parallel = SyncEngine::new(program, nf_factory(&compiled)(), 128);
         let mut sequential = RunToCompletion::new(chain.iter().map(|n| make_nf(n)).collect());
 
         let packets = datacenter_traffic(2_000);

@@ -13,14 +13,11 @@
 //!
 //! Usage: `cargo run --release -p nfp-bench --bin pcap_replay [--smoke] [packets] [trials]`
 
-use nfp_bench::setups::{compile_chain, make_nf};
-use nfp_dataplane::engine::{Engine, EngineConfig};
-use nfp_dataplane::shard::ShardedEngine;
-use nfp_dataplane::sync_engine::SyncEngine;
+use nfp_bench::setups::{compile_chain, nf_factory};
+use nfp_dataplane::{Dataplane, EngineConfig, EngineKind, EngineSpec};
 use nfp_io::pcap::{read_pcap_bytes, write_pcap_bytes, PcapFormat};
 use nfp_io::trace::{build_golden_records, GoldenTraceSpec};
 use nfp_io::{IoRunStats, PcapEgress, PcapIngress};
-use nfp_nf::NetworkFunction;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -83,55 +80,31 @@ fn main() {
 
     let compiled = compile_chain(&["Monitor", "Firewall"]);
     let program = compiled.program(1).expect("program seals");
-    let names: Vec<String> = compiled
-        .graph
-        .nodes
-        .iter()
-        .map(|node| node.name.as_str().to_string())
-        .collect();
-    let nfs = {
-        let names = names.clone();
-        move || -> Vec<Box<dyn NetworkFunction>> { names.iter().map(|n| make_nf(n)).collect() }
-    };
-    let config = EngineConfig {
-        max_in_flight: 64,
-        io_burst: 64,
-        ..EngineConfig::default()
-    };
+    let nfs = nf_factory(&compiled);
+    let engines = [
+        ("sync", EngineKind::Sync),
+        ("threaded", EngineKind::Threaded),
+        ("sharded_x2", EngineKind::Sharded(2)),
+    ];
 
     let mut rows: Vec<Row> = Vec::new();
-    for engine_label in ["sync", "threaded", "sharded_x2"] {
+    for (engine_label, kind) in engines {
+        let spec = EngineSpec {
+            kind,
+            config: EngineConfig {
+                pool_size: 512 * kind.shards(),
+                max_in_flight: 64,
+                io_burst: 64,
+                ..EngineConfig::default()
+            },
+        };
         let mut best: Option<Row> = None;
         for _ in 0..trials {
             let mut ingress = PcapIngress::from_bytes(trace.clone()).expect("golden trace parses");
             let mut egress = PcapEgress::in_memory(PcapFormat::default());
             let t = Instant::now();
-            let io = match engine_label {
-                "sync" => {
-                    let mut engine = SyncEngine::new(program.clone(), nfs(), 512);
-                    engine
-                        .run_io(&mut ingress, &mut egress, 64)
-                        .expect("sync replay")
-                }
-                "threaded" => {
-                    let mut engine =
-                        Engine::new(program.clone(), nfs(), config.clone()).expect("engine");
-                    engine.run_io(&mut ingress, &mut egress).expect("replay").1
-                }
-                _ => {
-                    let mut engine = ShardedEngine::new(
-                        &program,
-                        nfs.clone(),
-                        &EngineConfig {
-                            pool_size: 1024,
-                            ..config.clone()
-                        },
-                        2,
-                    )
-                    .expect("fleet");
-                    engine.run_io(&mut ingress, &mut egress).expect("replay").1
-                }
-            };
+            let mut engine = Dataplane::build(&spec, program.clone(), nfs.clone()).expect("engine");
+            let (_, io) = engine.run_io(&mut ingress, &mut egress).expect("replay");
             let elapsed_s = t.elapsed().as_secs_f64();
             let row = Row {
                 engine: engine_label,

@@ -14,12 +14,11 @@
 //!
 //! Usage: `cargo run --release --bin shard_scale [packets] [trials]`
 
-use nfp_bench::setups::{compile_chain, fixed_traffic, make_nf};
+use nfp_bench::setups::{compile_chain, fixed_traffic, nf_factory};
 use nfp_bench::stage_latency_json;
 use nfp_dataplane::engine::EngineConfig;
 use nfp_dataplane::exec::{host_parallelism, plan_pipeline_groups};
 use nfp_dataplane::shard::ShardedEngine;
-use nfp_nf::NetworkFunction;
 use std::fmt::Write as _;
 
 struct Row {
@@ -48,14 +47,7 @@ fn main() {
 
     let compiled = compile_chain(&["Monitor", "Firewall"]);
     let program = compiled.program(1).expect("program seals");
-    let names: Vec<String> = compiled
-        .graph
-        .nodes
-        .iter()
-        .map(|node| node.name.as_str().to_string())
-        .collect();
-    let make_nfs =
-        move || -> Vec<Box<dyn NetworkFunction>> { names.iter().map(|n| make_nf(n)).collect() };
+    let make_nfs = nf_factory(&compiled);
     let n_nfs = compiled.graph.nodes.len();
     let mergers = 2usize;
     let pkts = fixed_traffic(n, 200);

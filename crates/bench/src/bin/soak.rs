@@ -14,13 +14,15 @@
 //! Usage: `cargo run --release --bin soak [--smoke] [--seed N] [--packets N] [--shards N]`
 
 use nfp_bench::soak::{
-    run_cell, run_long_session, CellResult, EngineKind, LongSessionResult, SoakOptions,
-    CHAOS_SCRIPTS, LONG_SESSION_CHUNK, SOAK_CHAIN, TRAFFIC_PROFILES,
+    run_cell, run_long_session, CellResult, LongSessionResult, SoakOptions, CHAOS_SCRIPTS,
+    LONG_SESSION_CHUNK, SOAK_CHAIN, TRAFFIC_PROFILES,
 };
+use nfp_dataplane::EngineKind;
 use std::fmt::Write as _;
 
-fn parse_args() -> (SoakOptions, bool) {
+fn parse_args() -> (SoakOptions, usize, bool) {
     let mut opts = SoakOptions::default();
+    let mut shards = 2;
     let mut smoke = false;
     let mut packets_set = false;
     let mut args = std::env::args().skip(1);
@@ -37,14 +39,14 @@ fn parse_args() -> (SoakOptions, bool) {
                 opts.packets = num("--packets") as usize;
                 packets_set = true;
             }
-            "--shards" => opts.shards = (num("--shards") as usize).max(1),
+            "--shards" => shards = (num("--shards") as usize).max(1),
             other => panic!("unknown argument `{other}`"),
         }
     }
     if smoke && !packets_set {
         opts.packets = 1_200;
     }
-    (opts, smoke)
+    (opts, shards, smoke)
 }
 
 fn json_escape(s: &str) -> String {
@@ -131,7 +133,12 @@ fn long_session_json(r: &LongSessionResult) -> String {
 }
 
 fn main() {
-    let (opts, smoke) = parse_args();
+    let (opts, shards, smoke) = parse_args();
+    let engines = [
+        EngineKind::Sync,
+        EngineKind::Threaded,
+        EngineKind::Sharded(shards),
+    ];
     let traffic: &[&str] = if smoke {
         &TRAFFIC_PROFILES[..2]
     } else {
@@ -146,7 +153,7 @@ fn main() {
     println!(
         "== adversarial soak: {} on {} cells ({} pkts/cell, seed {}) ==",
         SOAK_CHAIN.join("|"),
-        traffic.len() * chaos.len() * EngineKind::ALL.len(),
+        traffic.len() * chaos.len() * engines.len(),
         opts.packets,
         opts.seed
     );
@@ -154,7 +161,7 @@ fn main() {
     let mut cells: Vec<CellResult> = Vec::new();
     for t in traffic {
         for c in chaos {
-            for kind in EngineKind::ALL {
+            for kind in engines {
                 let cell = run_cell(t, c, kind, &opts);
                 let verdict = if cell.passed() { "ok" } else { "FAIL" };
                 println!(
@@ -208,7 +215,7 @@ fn main() {
     let _ = writeln!(json, "  \"chain\": \"{}\",", SOAK_CHAIN.join("|"));
     let _ = writeln!(json, "  \"seed\": {},", opts.seed);
     let _ = writeln!(json, "  \"packets_per_cell\": {},", opts.packets);
-    let _ = writeln!(json, "  \"shards\": {},", opts.shards);
+    let _ = writeln!(json, "  \"shards\": {shards},");
     let _ = writeln!(json, "  \"smoke\": {smoke},");
     let _ = writeln!(json, "  \"cells_total\": {},", cells.len());
     let _ = writeln!(json, "  \"cells_passed\": {passed},");

@@ -21,11 +21,11 @@
 //!
 //! `--check` exits nonzero unless the zero-sampling overhead is ≤ 2%.
 
-use nfp_bench::setups::{compile_chain, fixed_traffic, make_nf};
+use nfp_bench::setups::{compile_chain, fixed_traffic, nf_factory};
 use nfp_bench::stage_latency_json;
 use nfp_dataplane::sync_engine::SyncEngine;
 use nfp_dataplane::telemetry::{Telemetry, TelemetryConfig};
-use nfp_nf::NetworkFunction;
+use nfp_dataplane::EngineConfig;
 use nfp_orchestrator::{Program, Stage};
 use nfp_packet::{Packet, PacketPool};
 use std::fmt::Write as _;
@@ -38,16 +38,13 @@ use std::time::Instant;
 const CALLS_PER_PACKET: u64 = 10;
 
 fn build_engine(program: &Program, config: TelemetryConfig) -> SyncEngine {
-    let compiled = compile_chain(&["Monitor", "Firewall"]);
-    let nfs: Vec<Box<dyn NetworkFunction>> = compiled
-        .graph
-        .nodes
-        .iter()
-        .map(|node| make_nf(node.name.as_str()))
-        .collect();
-    let mut engine = SyncEngine::new(program.clone(), nfs, 256);
-    engine.set_telemetry(config);
-    engine
+    let nfs = nf_factory(&compile_chain(&["Monitor", "Firewall"]))();
+    let config = EngineConfig {
+        pool_size: 256,
+        telemetry: config,
+        ..EngineConfig::default()
+    };
+    SyncEngine::with_config(program.clone(), nfs, &config)
 }
 
 /// Best-of-three wall-clock run; returns (ns per packet, delivered).

@@ -75,6 +75,17 @@ pub fn compile_chain(chain: &[&str]) -> nfp_orchestrator::Compiled {
     .expect("evaluation chain compiles")
 }
 
+/// A factory for one fresh NF instance per node of `compiled`'s graph,
+/// in `NodeId` order (what every engine builder takes).
+pub fn nf_factory(
+    compiled: &nfp_orchestrator::Compiled,
+) -> impl Fn() -> Vec<Box<dyn NetworkFunction>> + Clone + Send + 'static {
+    let names: Vec<String> = (compiled.graph.nodes.iter())
+        .map(|node| node.name.as_str().to_string())
+        .collect();
+    move || names.iter().map(|n| make_nf(n)).collect()
+}
+
 fn node(name: &str, profile: ActionProfile) -> GraphNode {
     GraphNode {
         name: NfName::new(name),

@@ -15,13 +15,9 @@
 //! writes `results/BENCH_soak_matrix.json`; `tests/soak_smoke.rs` runs a
 //! small slice of it in CI.
 
-use nfp_dataplane::audit::{
-    spawn_auditor, AuditConfig, EngineProbe, InvariantReport, LiveAudit, SoakCounts,
-};
+use nfp_dataplane::audit::{spawn_auditor, AuditConfig, EngineProbe, InvariantReport, SoakCounts};
 use nfp_dataplane::chaos_schedule::{drive_swaps, ChaosScript, SwapLog};
-use nfp_dataplane::engine::{Engine, EngineConfig};
-use nfp_dataplane::shard::ShardedEngine;
-use nfp_dataplane::sync_engine::SyncEngine;
+use nfp_dataplane::{Dataplane, EngineConfig, EngineKind, EngineReport, EngineSpec};
 use nfp_io::trace::{build_golden_pcap, GoldenTraceSpec};
 use nfp_io::{Ingress, PcapIngress};
 use nfp_nf::NetworkFunction;
@@ -31,7 +27,6 @@ use nfp_policy::Policy;
 use nfp_traffic::{HostileGenerator, HostileSpec, SizeDistribution, TrafficGenerator, TrafficSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -63,34 +58,6 @@ pub const SCALE_MAX_SHARDS: usize = 4;
 /// watchdog's failure path.
 pub const CHAOS_STALL: Duration = Duration::from_millis(150);
 
-/// Which executor a cell runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineKind {
-    /// Deterministic single-threaded [`SyncEngine`], chaos replayed
-    /// inline between `process()` calls.
-    Sync,
-    /// The multi-threaded [`Engine`], swaps fired from a controller
-    /// thread while packets flow.
-    Threaded,
-    /// A [`ShardedEngine`] fleet (RSS front-end over full replicas); each
-    /// shard gets its own chaos-wrapped NF instances and epoch sequence.
-    Sharded,
-}
-
-impl EngineKind {
-    /// Every engine, in matrix order.
-    pub const ALL: [EngineKind; 3] = [EngineKind::Sync, EngineKind::Threaded, EngineKind::Sharded];
-
-    /// Axis label used in reports and JSON.
-    pub fn label(self) -> &'static str {
-        match self {
-            EngineKind::Sync => "sync",
-            EngineKind::Threaded => "threaded",
-            EngineKind::Sharded => "sharded",
-        }
-    }
-}
-
 /// Per-run knobs shared by every cell of one matrix sweep.
 #[derive(Debug, Clone, Copy)]
 pub struct SoakOptions {
@@ -98,8 +65,6 @@ pub struct SoakOptions {
     pub packets: usize,
     /// Root seed; each cell derives its own sub-seed via [`cell_seed`].
     pub seed: u64,
-    /// Shard count for [`EngineKind::Sharded`] cells.
-    pub shards: usize,
 }
 
 impl Default for SoakOptions {
@@ -107,7 +72,6 @@ impl Default for SoakOptions {
         Self {
             packets: 4_000,
             seed: 0x50A6_50A6,
-            shards: 2,
         }
     }
 }
@@ -237,17 +201,18 @@ fn soak_nfs() -> Vec<Box<dyn NetworkFunction>> {
     SOAK_CHAIN.iter().map(|name| make_nf(name)).collect()
 }
 
-fn soak_engine_config(probe: &Arc<EngineProbe>, shards: usize) -> EngineConfig {
-    EngineConfig {
+fn soak_spec(probe: &Arc<EngineProbe>, kind: EngineKind) -> EngineSpec {
+    let config = EngineConfig {
         max_in_flight: 32,
         // Fleet total; ShardedEngine divides per shard.
-        pool_size: 256 * shards.max(1),
+        pool_size: 256 * kind.shards(),
         mergers: 2,
         merge_deadline: Duration::from_millis(50),
         stall_timeout: Duration::from_millis(500),
         probe: Some(Arc::clone(probe)),
         ..EngineConfig::default()
-    }
+    };
+    EngineSpec { kind, config }
 }
 
 fn audit_config(script: &ChaosScript, config: &EngineConfig) -> AuditConfig {
@@ -301,19 +266,106 @@ impl CellResult {
 /// Run one cell of the soak matrix: build the traffic and chaos script
 /// from the cell seed, execute on the requested engine with a live
 /// auditor attached, and evaluate the five invariants.
+///
+/// Every engine publishes its own gauges through the probe. Live swaps
+/// fire from a controller thread keyed on injected counts wherever the
+/// engine has controllers; the sync engine has none, so its swaps — and
+/// a fleet's rescales, which rebuild the fleet and need `&mut` access —
+/// run inline: the stream is split at those points and each action runs
+/// in the gap between two sessions, where nothing is in flight. (Scripts
+/// never mix swap and rescale timelines, so the swap driver — which
+/// treats an idle probe as end-of-run — never races a chunk boundary.)
 pub fn run_cell(traffic: &str, chaos: &str, kind: EngineKind, opts: &SoakOptions) -> CellResult {
     let seed = cell_seed(opts.seed, traffic, chaos, kind);
     let packets = traffic_batch(traffic, opts.packets, seed);
     let script = chaos_script(chaos, SOAK_CHAIN.len(), packets.len() as u64, seed);
     let variants = program_variants();
     let probe = EngineProbe::new();
-
-    let (counts, swaps, nf_failures, elapsed, live) = match kind {
-        EngineKind::Sync => run_sync(packets, &script, &variants, &probe),
-        EngineKind::Threaded => run_threaded(packets, &script, &variants, &probe),
-        EngineKind::Sharded => run_sharded(packets, &script, &variants, &probe, opts.shards),
+    let spec = soak_spec(&probe, kind);
+    // A fleet keeps the factory to rebuild replicas on a rescale, so it
+    // owns its copy of the script.
+    let nf_script = script.clone();
+    let mut engine = Dataplane::build(&spec, variants(0), move || nf_script.wrap_nfs(soak_nfs()))
+        .expect("soak engine builds");
+    let auditor = spawn_auditor(Arc::clone(&probe), audit_config(&script, &spec.config));
+    let controllers = engine.controllers();
+    let mut inline: Vec<(u64, Inline)> = Vec::new();
+    if let Dataplane::Sharded(_) = engine {
+        let scales = script.scale_points().into_iter();
+        inline.extend(scales.map(|(at, n)| (at, Inline::Rescale(n))));
+    }
+    let driver = if controllers.is_empty() {
+        inline.extend(
+            script
+                .swap_points()
+                .into_iter()
+                .map(|at| (at, Inline::Swap)),
+        );
+        None
+    } else {
+        Some(spawn_swap_driver(controllers, &probe, &script, &variants))
     };
+    inline.sort_by_key(|&(at, _)| at);
+    // Split the stream at each point (cumulative injected counts), each
+    // chunk after the first behind the action that precedes it.
+    let mut rest = packets;
+    let mut chunks = Vec::new();
+    for &(at, action) in inline.iter().rev() {
+        let tail = rest.split_off((at as usize).min(rest.len()));
+        chunks.push((Some(action), tail));
+    }
+    chunks.push((None, rest));
 
+    let mut swaps = SwapLog::default();
+    let mut total: Option<EngineReport> = None;
+    let mut epochs = Vec::new();
+    let start = Instant::now();
+    for (action, chunk) in chunks.into_iter().rev() {
+        let refused = match (action, &mut engine) {
+            (Some(Inline::Swap), _) => {
+                swaps.attempted += 1;
+                match engine.reconfigure(variants(engine.epoch() + 1)) {
+                    Ok(_) => {
+                        swaps.completed += 1;
+                        None
+                    }
+                    Err(e) => {
+                        swaps.rejected += 1;
+                        Some(format!("swap rejected: {e}"))
+                    }
+                }
+            }
+            (Some(Inline::Rescale(n)), Dataplane::Sharded(fleet)) => fleet
+                .rescale(n)
+                .err()
+                .map(|e| format!("rescale rejected: {e}")),
+            _ => None,
+        };
+        if let Some(msg) = refused.filter(|_| swaps.failures.len() < 16) {
+            swaps.failures.push(msg);
+        }
+        if !chunk.is_empty() {
+            let report = engine.run(chunk);
+            // Epoch tallies are lifetime counts: the last report's are whole.
+            epochs.clone_from(&report.epochs);
+            match &mut total {
+                Some(total) => total.absorb(report),
+                None => total = Some(report),
+            }
+        }
+    }
+    let elapsed = start.elapsed();
+    let mut report = total.expect("a soak cell injects packets");
+    report.epochs = epochs;
+    if let Some(driver) = driver {
+        let driven = driver.join().expect("swap driver");
+        swaps.attempted += driven.attempted;
+        swaps.completed += driven.completed;
+        swaps.rejected += driven.rejected;
+        swaps.failures.extend(driven.failures);
+    }
+    let live = auditor.finish();
+    let counts = SoakCounts::from_report(&report);
     let invariants = InvariantReport::evaluate(&counts, &live);
     CellResult {
         traffic: traffic.to_string(),
@@ -322,7 +374,7 @@ pub fn run_cell(traffic: &str, chaos: &str, kind: EngineKind, opts: &SoakOptions
         seed,
         counts,
         swaps,
-        nf_failures,
+        nf_failures: report.failures.len(),
         elapsed,
         samples: live.samples,
         peak_pool_in_use: live.peak_pool_in_use,
@@ -330,198 +382,11 @@ pub fn run_cell(traffic: &str, chaos: &str, kind: EngineKind, opts: &SoakOptions
     }
 }
 
-type CellRun = (SoakCounts, SwapLog, usize, Duration, LiveAudit);
-
-/// Sync cell: the chaos swap timeline replays inline between `process()`
-/// calls, and the harness publishes the gauges the threaded engines
-/// publish themselves — so the same auditor covers all three executors.
-fn run_sync(
-    packets: Vec<Packet>,
-    script: &ChaosScript,
-    variants: &(impl Fn(u64) -> Program + Clone),
-    probe: &Arc<EngineProbe>,
-) -> CellRun {
-    const POOL: usize = 256;
-    let mut engine = SyncEngine::new(variants(0), script.wrap_nfs(soak_nfs()), POOL);
-    let gauges = probe.register();
-    gauges.pool_budget.store(POOL as u64, Ordering::Relaxed);
-    gauges.active.store(true, Ordering::Release);
-    let auditor = spawn_auditor(
-        Arc::clone(probe),
-        audit_config(script, &soak_engine_config(probe, 1)),
-    );
-
-    let points = script.swap_points();
-    let mut next_point = 0usize;
-    let mut swaps = SwapLog::default();
-    let injected = packets.len() as u64;
-    let (mut delivered, mut dropped, mut rejected) = (0u64, 0u64, 0u64);
-    let start = Instant::now();
-    for (i, pkt) in packets.into_iter().enumerate() {
-        while next_point < points.len() && i as u64 >= points[next_point] {
-            next_point += 1;
-            swaps.attempted += 1;
-            match engine.reconfigure(variants(engine.epoch() + 1)) {
-                Ok(_) => swaps.completed += 1,
-                Err(e) => {
-                    swaps.rejected += 1;
-                    if swaps.failures.len() < 16 {
-                        swaps.failures.push(format!("swap rejected: {e}"));
-                    }
-                }
-            }
-        }
-        match engine.process(pkt) {
-            Ok(out) => match out.delivered() {
-                Some(_) => delivered += 1,
-                None => dropped += 1,
-            },
-            Err(_) => rejected += 1,
-        }
-        gauges.publish(
-            i as u64 + 1,
-            delivered,
-            dropped + rejected,
-            engine.pool_in_use() as u64,
-            engine.epoch(),
-        );
-    }
-    let elapsed = start.elapsed();
-    gauges.active.store(false, Ordering::Release);
-    let live = auditor.finish();
-
-    let counts = SoakCounts {
-        injected,
-        delivered,
-        // The uniform convention: `dropped` includes classifier rejects,
-        // exactly as the threaded engine's report counts them.
-        dropped: dropped + rejected,
-        rejected,
-        pool_in_use: engine.pool_in_use() as u64,
-        epoch_completed: engine.epochs().iter().map(|t| t.completed).sum(),
-        // A lone sync engine has no fleet to rescale.
-        ..SoakCounts::default()
-    };
-    (counts, swaps, engine.failures().len(), elapsed, live)
-}
-
-/// Threaded cell: engine publishes its own gauges through the probe; a
-/// controller thread executes the swap timeline keyed on injected counts.
-fn run_threaded(
-    packets: Vec<Packet>,
-    script: &ChaosScript,
-    variants: &(impl Fn(u64) -> Program + Clone + Send + 'static),
-    probe: &Arc<EngineProbe>,
-) -> CellRun {
-    let config = soak_engine_config(probe, 1);
-    let mut engine =
-        Engine::new(variants(0), script.wrap_nfs(soak_nfs()), config.clone()).expect("engine");
-    let controllers = vec![engine.controller()];
-    let auditor = spawn_auditor(Arc::clone(probe), audit_config(script, &config));
-    let driver = spawn_swap_driver(controllers, probe, script, variants);
-
-    let start = Instant::now();
-    let report = engine.run(packets);
-    let elapsed = start.elapsed();
-    let swaps = driver.join().expect("swap driver");
-    let live = auditor.finish();
-    (
-        SoakCounts::from_report(&report),
-        swaps,
-        report.failures.len(),
-        elapsed,
-        live,
-    )
-}
-
-/// Sharded cell: every shard gets its own chaos-wrapped NF instances, the
-/// probe aggregates per-shard gauges, and the swap driver advances every
-/// shard's epoch sequence at each scripted point.
-///
-/// Scripted rescales cannot fire from a controller thread the way swaps
-/// do — `rescale` quiesces and rebuilds the fleet, so it needs `&mut`
-/// access between runs. The driver therefore chunks the packet stream at
-/// each scale point and rescales in the inter-chunk gap: the drain
-/// window of the epoch machinery, where every stateful NF's per-flow
-/// state is exported, re-partitioned by the new shard hash and
-/// imported. (Scripts never mix swap and rescale timelines, so the swap
-/// driver — which treats an idle probe as end-of-run — is never racing
-/// a chunk boundary.)
-fn run_sharded(
-    packets: Vec<Packet>,
-    script: &ChaosScript,
-    variants: &(impl Fn(u64) -> Program + Clone + Send + 'static),
-    probe: &Arc<EngineProbe>,
-    shards: usize,
-) -> CellRun {
-    let config = soak_engine_config(probe, shards);
-    // The factory outlives this call inside the engine (a rescale may
-    // rebuild replicas later), so it owns its copy of the script.
-    let nf_script = script.clone();
-    let mut engine = ShardedEngine::new(
-        &variants(0),
-        move || nf_script.wrap_nfs(soak_nfs()),
-        &config,
-        shards,
-    )
-    .expect("sharded engine");
-    let controllers = engine.controllers();
-    let auditor = spawn_auditor(Arc::clone(probe), audit_config(script, &config));
-    let driver = spawn_swap_driver(controllers, probe, script, variants);
-
-    // Split the stream at each scripted rescale threshold (cumulative
-    // injected counts), keeping the remainder as the final chunk.
-    let total = packets.len() as u64;
-    let mut rest = packets;
-    let mut chunks: Vec<(Vec<Packet>, Option<usize>)> = Vec::new();
-    let mut consumed = 0u64;
-    for (after, to_shards) in script.scale_points() {
-        let take = after.min(total).saturating_sub(consumed) as usize;
-        let tail = rest.split_off(take.min(rest.len()));
-        let chunk = std::mem::replace(&mut rest, tail);
-        consumed += chunk.len() as u64;
-        chunks.push((chunk, Some(to_shards)));
-    }
-    chunks.push((rest, None));
-
-    let mut counts = SoakCounts::default();
-    let mut swaps = SwapLog::default();
-    let mut nf_failures = 0usize;
-    let start = Instant::now();
-    for (chunk, rescale_to) in chunks {
-        if !chunk.is_empty() {
-            let report = engine.run(chunk);
-            let c = SoakCounts::from_report(&report);
-            counts.injected += c.injected;
-            counts.delivered += c.delivered;
-            counts.dropped += c.dropped;
-            counts.rejected += c.rejected;
-            counts.pool_in_use = c.pool_in_use;
-            counts.epoch_completed += c.epoch_completed;
-            nf_failures += report.failures.len();
-        }
-        if let Some(to) = rescale_to {
-            if let Err(e) = engine.rescale(to) {
-                if swaps.failures.len() < 16 {
-                    swaps.failures.push(format!("rescale rejected: {e}"));
-                }
-            }
-        }
-    }
-    let elapsed = start.elapsed();
-    // Migration counters are cumulative on the fleet, not per chunk.
-    let migration = engine.migration();
-    counts.rescales = migration.rescales;
-    counts.flows_exported = migration.flows_exported;
-    counts.flows_imported = migration.flows_imported;
-
-    let driven = driver.join().expect("swap driver");
-    swaps.attempted += driven.attempted;
-    swaps.completed += driven.completed;
-    swaps.rejected += driven.rejected;
-    swaps.failures.extend(driven.failures);
-    let live = auditor.finish();
-    (counts, swaps, nf_failures, elapsed, live)
+/// A scripted action run between two sessions of a soak cell.
+#[derive(Debug, Clone, Copy)]
+enum Inline {
+    Swap,
+    Rescale(usize),
 }
 
 /// Packets per session in the [`run_long_session`] cell — the chunk the
@@ -582,11 +447,9 @@ fn rss_kib() -> u64 {
 /// [`LONG_SESSION_RSS_SLACK_KIB`]. No live probe is attached: a probe
 /// registers one gauge slot per session, which would grow by design.
 pub fn run_long_session(packets: u64, seed: u64) -> LongSessionResult {
-    let config = EngineConfig {
-        probe: None,
-        ..soak_engine_config(&EngineProbe::new(), 1)
-    };
-    let mut engine = Engine::new(program_variants()(0), soak_nfs(), config).expect("engine");
+    let mut spec = soak_spec(&EngineProbe::new(), EngineKind::Threaded);
+    spec.config.probe = None;
+    let mut engine = Dataplane::build(&spec, program_variants()(0), soak_nfs).expect("engine");
     let mut traffic = TrafficGenerator::new(TrafficSpec {
         flows: 64,
         sizes: SizeDistribution::datacenter(),
@@ -689,9 +552,13 @@ mod tests {
         let opts = SoakOptions {
             packets: 600,
             seed: 2,
-            shards: 2,
         };
-        let cell = run_cell("elephant_mice", "scale_storm", EngineKind::Sharded, &opts);
+        let cell = run_cell(
+            "elephant_mice",
+            "scale_storm",
+            EngineKind::Sharded(2),
+            &opts,
+        );
         assert!(cell.passed(), "{:?}", cell.invariants.violations);
         assert_eq!(cell.counts.injected, 600);
         assert!(cell.counts.rescales >= 3, "{:?}", cell.counts);
@@ -724,7 +591,6 @@ mod tests {
         let opts = SoakOptions {
             packets: 400,
             seed: 1,
-            shards: 2,
         };
         let cell = run_cell("malformed", "swap_storm", EngineKind::Sync, &opts);
         assert!(cell.passed(), "{:?}", cell.invariants.violations);

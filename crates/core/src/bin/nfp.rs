@@ -28,78 +28,44 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter().map(String::as_str);
-    match it.next() {
-        Some("census") => cmd_census(args.iter().any(|a| a == "--uniform")),
-        Some("check") => match it.next() {
-            Some(path) => cmd_check(path),
-            None => usage("check needs a policy file"),
-        },
-        Some("compile") => {
-            let files: Vec<&str> = args[1..]
-                .iter()
-                .filter(|a| !a.starts_with("--"))
-                .map(String::as_str)
-                .collect();
-            match files.first() {
-                Some(path) => cmd_compile(
-                    path,
-                    args.iter().any(|a| a == "--sequential"),
-                    args.iter().any(|a| a == "--no-dirty-reuse"),
-                    args.iter().any(|a| a == "--tables"),
-                ),
-                None => usage("compile needs a policy file"),
-            }
-        }
-        Some("telemetry") => {
-            let files: Vec<&str> = args[1..]
-                .iter()
-                .filter(|a| !a.starts_with("--"))
-                .map(String::as_str)
-                .collect();
-            let flag = |name: &str, default: u64| {
-                args.iter()
-                    .find_map(|a| a.strip_prefix(name).and_then(|v| v.parse().ok()))
-                    .unwrap_or(default)
-            };
-            match files.first() {
-                Some(path) => cmd_telemetry(
-                    path,
-                    flag("--packets=", 1000),
-                    flag("--trace-every=", 100),
-                    args.iter().any(|a| a == "--prometheus"),
-                ),
-                None => usage("telemetry needs a policy file"),
-            }
-        }
-        Some("replay") => {
-            let files: Vec<&str> = args[1..]
-                .iter()
-                .filter(|a| !a.starts_with("--"))
-                .map(String::as_str)
-                .collect();
-            let value = |name: &str| {
-                args.iter()
-                    .find_map(|a| a.strip_prefix(name))
-                    .map(str::to_string)
-            };
-            let (Some(path), Some(pcap)) = (files.first(), value("--pcap=")) else {
-                return usage("replay needs a policy file and --pcap=<in.pcap>");
-            };
-            let shards = value("--shards=")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(2usize)
-                .max(1);
-            cmd_replay(
+    let has = |flag: &str| args.iter().any(|a| a == flag);
+    let value = |name: &str| args.iter().find_map(|a| a.strip_prefix(name));
+    let number =
+        |name: &str, default: u64| value(name).and_then(|v| v.parse().ok()).unwrap_or(default);
+    let files: Vec<&str> = (args.iter().skip(1))
+        .filter(|a| !a.starts_with("--"))
+        .map(String::as_str)
+        .collect();
+    match (args.first().map(String::as_str), files.first()) {
+        (Some("census"), _) => cmd_census(has("--uniform")),
+        (Some("check"), Some(path)) => cmd_check(path),
+        (Some("compile"), Some(path)) => cmd_compile(
+            path,
+            has("--sequential"),
+            has("--no-dirty-reuse"),
+            has("--tables"),
+        ),
+        (Some("telemetry"), Some(path)) => cmd_telemetry(
+            path,
+            number("--packets=", 1000),
+            number("--trace-every=", 100),
+            has("--prometheus"),
+        ),
+        (Some("replay"), Some(path)) => match value("--pcap=") {
+            Some(pcap) => cmd_replay(
                 path,
-                &pcap,
-                value("--pcap-out=").as_deref(),
-                value("--engine=").as_deref().unwrap_or("sync"),
-                shards,
-            )
+                pcap,
+                value("--pcap-out="),
+                value("--engine=").unwrap_or("sync"),
+                number("--shards=", 2).max(1) as usize,
+            ),
+            None => usage("replay needs a policy file and --pcap=<in.pcap>"),
+        },
+        (Some(cmd @ ("check" | "compile" | "telemetry" | "replay")), None) => {
+            usage(&format!("{cmd} needs a policy file"))
         }
-        Some("--help") | Some("-h") | None => usage(""),
-        Some(other) => usage(&format!("unknown command `{other}`")),
+        (Some("--help") | Some("-h") | None, _) => usage(""),
+        (Some(other), _) => usage(&format!("unknown command `{other}`")),
     }
 }
 
@@ -197,52 +163,75 @@ fn instantiate(name: &str) -> Option<Box<dyn NetworkFunction>> {
     })
 }
 
+/// Compile the policy at `path` against the Table 2 registry.
+fn compile_policy(path: &str, opts: &CompileOptions) -> Result<Compiled, ExitCode> {
+    let policy = read_policy(path)?;
+    compile(&policy, &Registry::paper_table2(), &[], opts).map_err(|e| {
+        eprintln!("compile error: {e}");
+        ExitCode::from(1)
+    })
+}
+
+fn seal(compiled: &Compiled) -> Result<Program, ExitCode> {
+    compiled.program(1).map_err(|e| {
+        eprintln!("program seal error: {e}");
+        ExitCode::from(1)
+    })
+}
+
+/// Builds one NF instance per graph node, in `NodeId` order.
+type NfFactory = Box<dyn Fn() -> Vec<Box<dyn NetworkFunction>> + Send>;
+
+/// Compile and seal the policy at `path` for running: its program, the
+/// graph's description, and a factory for its NF instances (every NF is
+/// checked for a runnable implementation here, once).
+fn load(path: &str) -> Result<(Program, String, NfFactory), ExitCode> {
+    let compiled = compile_policy(path, &CompileOptions::default())?;
+    let program = seal(&compiled)?;
+    let names: Vec<String> = compiled
+        .graph
+        .nodes
+        .iter()
+        .map(|n| n.name.as_str().to_string())
+        .collect();
+    if let Some(n) = names.iter().find(|n| instantiate(n).is_none()) {
+        eprintln!("error: no runnable implementation for NF `{n}`");
+        return Err(ExitCode::from(1));
+    }
+    let make_nfs = move || names.iter().filter_map(|n| instantiate(n)).collect();
+    Ok((program, compiled.graph.describe(), Box::new(make_nfs)))
+}
+
 fn cmd_telemetry(path: &str, packets: u64, trace_every: u64, prometheus: bool) -> ExitCode {
-    let policy = match read_policy(path) {
-        Ok(p) => p,
+    let (program, _, make_nfs) = match load(path) {
+        Ok(loaded) => loaded,
         Err(code) => return code,
     };
-    let compiled = match compile(&policy, &Registry::paper_table2(), &[], &Default::default()) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("compile error: {e}");
-            return ExitCode::from(1);
-        }
+    let spec = EngineSpec {
+        kind: EngineKind::Sync,
+        config: EngineConfig {
+            pool_size: 256,
+            telemetry: TelemetryConfig {
+                histograms: true,
+                trace_every,
+                trace_capacity: 4096,
+            },
+            ..EngineConfig::default()
+        },
     };
-    let program = match compiled.program(1) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("program seal error: {e}");
-            return ExitCode::from(1);
-        }
-    };
-    let mut nfs = Vec::new();
-    for node in &compiled.graph.nodes {
-        match instantiate(node.name.as_str()) {
-            Some(nf) => nfs.push(nf),
-            None => {
-                eprintln!("error: no runnable implementation for NF `{}`", node.name);
-                return ExitCode::from(1);
-            }
-        }
-    }
-    let mut engine = SyncEngine::new(program, nfs, 256);
-    engine.set_telemetry(TelemetryConfig {
-        histograms: true,
-        trace_every,
-        trace_capacity: 4096,
-    });
-    for i in 0..packets {
-        let pkt = nfp_core::traffic::gen::build_tcp_frame(
-            nfp_core::packet::ipv4::Ipv4Addr::new(10, 0, (i >> 8) as u8, i as u8),
-            nfp_core::packet::ipv4::Ipv4Addr::new(10, 99, 0, 1),
-            (1024 + (i % 1000)) as u16,
-            443,
-            b"telemetry probe",
-        );
-        let _ = engine.process(pkt);
-    }
-    let snap = engine.telemetry();
+    let mut engine = Dataplane::build(&spec, program, make_nfs).expect("a sync engine builds");
+    let pkts = (0..packets)
+        .map(|i| {
+            nfp_core::traffic::gen::build_tcp_frame(
+                nfp_core::packet::ipv4::Ipv4Addr::new(10, 0, (i >> 8) as u8, i as u8),
+                nfp_core::packet::ipv4::Ipv4Addr::new(10, 99, 0, 1),
+                (1024 + (i % 1000)) as u16,
+                443,
+                b"telemetry probe",
+            )
+        })
+        .collect();
+    let snap = engine.run(pkts).telemetry;
     if prometheus {
         print!("{}", snap.to_prometheus());
     } else {
@@ -258,45 +247,18 @@ fn cmd_replay(
     engine: &str,
     shards: usize,
 ) -> ExitCode {
-    use nfp_core::dataplane::EngineConfig;
     use nfp_core::io::{Egress, NullEgress, PcapEgress, PcapFormat, PcapIngress};
 
-    let policy = match read_policy(path) {
-        Ok(p) => p,
+    let kind = match engine {
+        "sync" => EngineKind::Sync,
+        "threaded" => EngineKind::Threaded,
+        "sharded" => EngineKind::Sharded(shards),
+        other => return usage(&format!("unknown engine `{other}`")),
+    };
+    let (program, graph, make_nfs) = match load(path) {
+        Ok(loaded) => loaded,
         Err(code) => return code,
     };
-    let compiled = match compile(&policy, &Registry::paper_table2(), &[], &Default::default()) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("compile error: {e}");
-            return ExitCode::from(1);
-        }
-    };
-    let program = match compiled.program(1) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("program seal error: {e}");
-            return ExitCode::from(1);
-        }
-    };
-    let names: Vec<String> = compiled
-        .graph
-        .nodes
-        .iter()
-        .map(|n| n.name.as_str().to_string())
-        .collect();
-    let make_nfs = || -> Result<Vec<Box<dyn NetworkFunction>>, ExitCode> {
-        names
-            .iter()
-            .map(|n| {
-                instantiate(n).ok_or_else(|| {
-                    eprintln!("error: no runnable implementation for NF `{n}`");
-                    ExitCode::from(1)
-                })
-            })
-            .collect()
-    };
-
     let mut ingress = match PcapIngress::open(pcap_in) {
         Ok(i) => i,
         Err(e) => {
@@ -315,57 +277,31 @@ fn cmd_replay(
         None => Box::new(NullEgress::new()),
     };
 
-    let start = std::time::Instant::now();
-    let io = match engine {
-        "sync" => {
-            let nfs = match make_nfs() {
-                Ok(n) => n,
-                Err(code) => return code,
-            };
-            SyncEngine::new(program, nfs, 256).run_io(&mut ingress, egress.as_mut(), 64)
-        }
-        "threaded" => match make_nfs().and_then(|nfs| {
-            Engine::new(program, nfs, EngineConfig::default()).map_err(|e| {
-                eprintln!("engine error: {e}");
-                ExitCode::from(1)
-            })
-        }) {
-            Ok(mut engine) => engine
-                .run_io(&mut ingress, egress.as_mut())
-                .map(|(_, io)| io),
-            Err(code) => return code,
+    let defaults = EngineConfig::default();
+    let spec = EngineSpec {
+        kind,
+        config: EngineConfig {
+            // A fleet splits its pool across its shards.
+            pool_size: defaults.pool_size * kind.shards(),
+            ..defaults
         },
-        "sharded" => {
-            // The factory is infallible here: fail fast on unknown NFs once.
-            if let Err(code) = make_nfs() {
-                return code;
-            }
-            let factory = {
-                let names = names.clone();
-                move || -> Vec<Box<dyn NetworkFunction>> {
-                    names.iter().map(|n| instantiate(n).unwrap()).collect()
-                }
-            };
-            match ShardedEngine::new(&program, factory, &EngineConfig::default(), shards) {
-                Ok(mut fleet) => fleet
-                    .run_io(&mut ingress, egress.as_mut())
-                    .map(|(_, io)| io),
-                Err(e) => {
-                    eprintln!("engine error: {e}");
-                    return ExitCode::from(1);
-                }
-            }
-        }
-        other => return usage(&format!("unknown engine `{other}`")),
     };
+    let start = std::time::Instant::now();
+    let mut dataplane = match Dataplane::build(&spec, program, make_nfs) {
+        Ok(d) => d,
+        Err(e) => {
+            eprintln!("engine error: {e}");
+            return ExitCode::from(1);
+        }
+    };
+    let io = dataplane.run_io(&mut ingress, egress.as_mut());
     let elapsed = start.elapsed();
 
     match io {
-        Ok(io) => {
+        Ok((_, io)) => {
             println!(
-                "replayed {pcap_in} through {} [{engine}]: pulled {} delivered {} \
+                "replayed {pcap_in} through {graph} [{engine}]: pulled {} delivered {} \
                  dropped {} rejected {} in {:.3}s ({:.0} pps)",
-                compiled.graph.describe(),
                 io.pulled,
                 io.delivered,
                 io.dropped,
@@ -386,22 +322,15 @@ fn cmd_replay(
 }
 
 fn cmd_compile(path: &str, sequential: bool, no_dirty_reuse: bool, show_tables: bool) -> ExitCode {
-    let policy = match read_policy(path) {
-        Ok(p) => p,
-        Err(code) => return code,
-    };
     let opts = CompileOptions {
         force_sequential: sequential,
         identify: nfp_core::orchestrator::IdentifyOptions {
             dirty_memory_reusing: !no_dirty_reuse,
         },
     };
-    let compiled = match compile(&policy, &Registry::paper_table2(), &[], &opts) {
+    let compiled = match compile_policy(path, &opts) {
         Ok(c) => c,
-        Err(e) => {
-            eprintln!("compile error: {e}");
-            return ExitCode::from(1);
-        }
+        Err(code) => return code,
     };
     let g = &compiled.graph;
     println!("graph:            {}", g.describe());
@@ -417,12 +346,9 @@ fn cmd_compile(path: &str, sequential: bool, no_dirty_reuse: bool, show_tables: 
         println!("warning: {w:?}");
     }
     if show_tables {
-        let program = match compiled.program(1) {
+        let program = match seal(&compiled) {
             Ok(p) => p,
-            Err(e) => {
-                eprintln!("program seal error: {e}");
-                return ExitCode::from(1);
-            }
+            Err(code) => return code,
         };
         let t = program.tables();
         println!("\nslots/packet:      {}", program.slots_per_packet());

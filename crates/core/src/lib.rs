@@ -62,8 +62,9 @@ pub use nfp_traffic as traffic;
 pub mod prelude {
     pub use nfp_baseline::{OnvmPipeline, RunToCompletion};
     pub use nfp_dataplane::{
-        Engine, EngineConfig, EngineError, EngineReport, FailureKind, NfFailure, PacketTrace,
-        ShardedEngine, SyncEngine, TelemetryConfig, TelemetrySnapshot, TraceHop,
+        Dataplane, Engine, EngineConfig, EngineError, EngineKind, EngineReport, EngineSpec,
+        FailureKind, NfFailure, PacketTrace, ShardedEngine, SyncEngine, TelemetryConfig,
+        TelemetrySnapshot, TraceHop,
     };
     pub use nfp_nf::{NetworkFunction, PacketView, Verdict};
     pub use nfp_orchestrator::{

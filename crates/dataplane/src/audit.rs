@@ -58,7 +58,10 @@ pub struct ProbeGauges {
 }
 
 impl ProbeGauges {
-    /// Store one consistent publication of the flow counters.
+    /// Store one publication of the flow counters. The finished counts
+    /// are released last: [`EngineProbe::sample`] acquires them before it
+    /// reads `injected`, so no sample can see more packets finished than
+    /// injected however its reads interleave with a publication.
     pub fn publish(
         &self,
         injected: u64,
@@ -68,10 +71,10 @@ impl ProbeGauges {
         epoch: u64,
     ) {
         self.injected.store(injected, Ordering::Relaxed);
-        self.delivered.store(delivered, Ordering::Relaxed);
-        self.dropped.store(dropped, Ordering::Relaxed);
         self.pool_in_use.store(pool_in_use, Ordering::Relaxed);
         self.epoch.store(epoch, Ordering::Relaxed);
+        self.delivered.store(delivered, Ordering::Release);
+        self.dropped.store(dropped, Ordering::Release);
     }
 }
 
@@ -139,9 +142,10 @@ impl EngineProbe {
             ..ProbeSample::default()
         };
         for g in slots.iter() {
+            // Reverse publication order (see `ProbeGauges::publish`).
+            s.dropped += g.dropped.load(Ordering::Acquire);
+            s.delivered += g.delivered.load(Ordering::Acquire);
             s.injected += g.injected.load(Ordering::Relaxed);
-            s.delivered += g.delivered.load(Ordering::Relaxed);
-            s.dropped += g.dropped.load(Ordering::Relaxed);
             s.pool_in_use += g.pool_in_use.load(Ordering::Relaxed);
             s.pool_budget += g.pool_budget.load(Ordering::Relaxed);
             s.epoch = s.epoch.max(g.epoch.load(Ordering::Relaxed));
@@ -279,8 +283,7 @@ pub fn spawn_auditor(probe: Arc<EngineProbe>, cfg: AuditConfig) -> AuditorHandle
 }
 
 /// The final flow counters an invariant evaluation needs. Built from an
-/// [`EngineReport`] for the threaded engines, or assembled by hand for a
-/// [`crate::sync_engine::SyncEngine`] harness loop.
+/// [`EngineReport`], whichever engine wrote it.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SoakCounts {
     /// Packets handed to the engine.

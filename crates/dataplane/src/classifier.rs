@@ -175,11 +175,6 @@ impl Classifier {
         }
     }
 
-    /// Number of CT entries (0 in live mode — the handle is the table).
-    pub fn entry_count(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Admit one packet: find its graph, tag MID/PID/v1 metadata (plus
     /// the pinned epoch in live mode), move it into the pool and run the
     /// graph's entry actions against `sink`.

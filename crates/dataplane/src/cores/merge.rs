@@ -190,10 +190,4 @@ impl MergerCore {
     pub fn pending_len(&self) -> usize {
         self.at.pending_len()
     }
-
-    /// Expired entries still owed straggler arrivals (leak detection: a
-    /// tombstone holds no references, only a count).
-    pub fn tombstone_len(&self) -> usize {
-        self.tombstones.len()
-    }
 }

@@ -38,14 +38,14 @@ use crate::cores::{collector, AgentCore, MergerCore, Outcome};
 use crate::exec::{CachePadded, IdlePolicy, Idler, Placement, SessionGate, WakeHub};
 use crate::ring::{self, Consumer, Producer, Stash};
 use crate::runtime::{FailureKind, NfRuntime};
-use crate::stats::{EngineStats, StageStats};
+use crate::stats::{EngineStats, StageSet};
 pub use crate::swap::EngineController;
 use crate::swap::{EpochReport, EpochTally, ProgramHandle, ReconfigError, TablesResolver};
 use crate::telemetry::{Telemetry, TelemetryConfig, TelemetrySnapshot};
 use nfp_nf::{FlowSnapshot, NetworkFunction};
 use nfp_orchestrator::tables::{DropBehavior, FtAction, GraphTables, Target};
 use nfp_orchestrator::{FailurePolicy, Program, Stage};
-use nfp_packet::io::{Egress, Ingress, IoError, IoRunStats};
+use nfp_packet::io::{Egress, Ingress, IoError, IoRunStats, VecIngress};
 use nfp_packet::pool::PacketPool;
 use nfp_packet::Packet;
 use nfp_traffic::{LatencyRecorder, LatencySummary};
@@ -107,8 +107,9 @@ pub struct EngineConfig {
     /// thread can check invariants *during* the run. `None` (the default) costs
     /// nothing on the packet path.
     pub probe: Option<Arc<crate::audit::EngineProbe>>,
-    /// Pull size for [`Engine::run_io`] ingress bursts (NIC RX-ring
-    /// style); ignored by the batch entry points.
+    /// Pull size for ingress bursts (NIC RX-ring style): every session
+    /// pulls its packets from an ingress, a batch run from a
+    /// [`VecIngress`].
     pub io_burst: usize,
 }
 
@@ -246,6 +247,20 @@ pub struct NfFailure {
     pub policy_drops: u64,
 }
 
+impl NfFailure {
+    /// The failure record of `rt`, graph node `node`, if it has failed.
+    pub(crate) fn of(node: usize, rt: &NfRt) -> Option<NfFailure> {
+        rt.failure().cloned().map(|kind| NfFailure {
+            node,
+            nf: rt.nf().name().to_string(),
+            kind,
+            policy: rt.failure_policy(),
+            bypassed: rt.bypassed,
+            policy_drops: rt.policy_drops,
+        })
+    }
+}
+
 /// Result of one engine run.
 #[derive(Debug)]
 pub struct EngineReport {
@@ -258,7 +273,8 @@ pub struct EngineReport {
     /// Wall-clock duration of the run.
     pub elapsed: Duration,
     /// Per-packet latency summary (inject → collect). `None` when no
-    /// packet was delivered (there are no samples to summarize).
+    /// packet was delivered, and from the sync engine, where a packet
+    /// never waits between stages (its stage times are in `telemetry`).
     pub latency: Option<LatencySummary>,
     /// Delivered packets, in completion order (when `keep_packets`).
     pub packets: Vec<Packet>,
@@ -323,6 +339,73 @@ impl EngineReport {
         }
         (self.delivered + self.dropped) as f64 / self.elapsed.as_secs_f64()
     }
+
+    /// Fold `other` into this report: a sibling shard's (how a
+    /// [`crate::shard::ShardedEngine`] builds its fleet report) or a later
+    /// run's (how a harness totals consecutive runs). Per-run counts,
+    /// stage counters, deliveries, failures, telemetry, pool occupancy
+    /// and `elapsed` add up; `epoch` takes the newer epoch and `migration`
+    /// the later census. Epoch tallies add per epoch — exact for reports
+    /// of different engines; consecutive runs of one engine each carry
+    /// its lifetime tallies, so take those from the last report instead.
+    /// `latency` is left alone: percentile summaries do not add.
+    pub fn absorb(&mut self, mut other: EngineReport) {
+        self.injected += other.injected;
+        self.delivered += other.delivered;
+        self.dropped += other.dropped;
+        self.elapsed += other.elapsed;
+        self.packets.append(&mut other.packets);
+        self.stats.merge(&other.stats);
+        self.failures.append(&mut other.failures);
+        self.pool_in_use += other.pool_in_use;
+        self.epoch = self.epoch.max(other.epoch);
+        add_tallies(&mut self.epochs, &other.epochs);
+        self.telemetry.merge(&other.telemetry);
+        self.migration = other.migration;
+    }
+}
+
+/// Add `from`'s per-epoch completions into `into`, sorted by epoch.
+pub(crate) fn add_tallies(into: &mut Vec<EpochTally>, from: &[EpochTally]) {
+    for t in from {
+        match into.iter_mut().find(|e| e.epoch == t.epoch) {
+            Some(e) => e.completed += t.completed,
+            None => into.push(*t),
+        }
+    }
+    into.sort_by_key(|t| t.epoch);
+}
+
+/// The ingress-error contract and the [`IoRunStats`] every `run_io`
+/// derives from its report: emit and flush everything delivered — also
+/// when an ingress error cut the stream short, so the output holds the
+/// deliveries of every packet pulled before it — then return that
+/// error, or the run's I/O tallies. Delivered packets stay in the
+/// report only when `keep` is set.
+pub(crate) fn finish_io(
+    mut report: EngineReport,
+    err: Option<IoError>,
+    egress: &mut dyn Egress,
+    keep: bool,
+) -> Result<(EngineReport, IoRunStats), IoError> {
+    if !report.packets.is_empty() {
+        egress.emit_burst(&report.packets)?;
+    }
+    egress.flush()?;
+    if let Some(e) = err {
+        return Err(e);
+    }
+    let rejected = report.stats.classifier.rejects();
+    let io = IoRunStats {
+        pulled: report.injected,
+        delivered: report.delivered,
+        dropped: report.dropped.saturating_sub(rejected),
+        rejected,
+    };
+    if !keep {
+        report.packets.clear();
+    }
+    Ok((report, io))
 }
 
 /// Everything an engine's stage tasks share, built once by [`Engine::new`]
@@ -332,11 +415,7 @@ impl EngineReport {
 struct StageCtx {
     pool: CachePadded<PacketPool>,
     handle: Arc<ProgramHandle>,
-    classifier_stats: StageStats,
-    nf_stats: Vec<StageStats>,
-    agent_stats: StageStats,
-    merger_stats: Vec<StageStats>,
-    collector_stats: StageStats,
+    stats: StageSet,
     tele: Telemetry,
     hub: CachePadded<WakeHub>,
     gate: SessionGate,
@@ -359,27 +438,6 @@ struct StageCtx {
 }
 
 impl StageCtx {
-    fn stats(&self, stage: Stage) -> &StageStats {
-        match stage {
-            Stage::Classifier => &self.classifier_stats,
-            Stage::Nf(i) => &self.nf_stats[i],
-            Stage::Agent => &self.agent_stats,
-            Stage::Merger(m) => &self.merger_stats[m],
-            Stage::Collector => &self.collector_stats,
-        }
-    }
-
-    fn all_stats(&self) -> impl Iterator<Item = &StageStats> {
-        [
-            &self.classifier_stats,
-            &self.agent_stats,
-            &self.collector_stats,
-        ]
-        .into_iter()
-        .chain(&self.nf_stats)
-        .chain(&self.merger_stats)
-    }
-
     fn finished(&self) -> u64 {
         self.delivered.load(Ordering::Acquire) + self.dropped.load(Ordering::Acquire)
     }
@@ -427,21 +485,21 @@ impl StashSink {
             let ctx = &*self.ctx;
             let epoch = ctx.pool.with(msg.r, |p| p.meta().epoch());
             ctx.pool.release(msg.r);
-            ctx.stats(self.from).note_misroute();
+            ctx.stats.get(self.from).note_misroute();
             ctx.handle.finish(epoch);
             ctx.dropped.fetch_add(1, Ordering::Release);
             return;
         };
         q.push(msg);
         if q.queued() >= BURST {
-            let stats = self.ctx.stats(self.from);
+            let stats = self.ctx.stats.get(self.from);
             q.flush(|| stats.note_backpressure());
         }
     }
 
     /// Retry every per-target buffer; returns true on any progress.
     fn pump(&mut self) -> bool {
-        let stats = self.ctx.stats(self.from);
+        let stats = self.ctx.stats.get(self.from);
         let mut progress = false;
         for (_, q) in &mut self.out {
             progress |= q.flush(|| stats.note_backpressure());
@@ -492,7 +550,7 @@ impl crate::exec::StageCore for ClassifierTask {
 
     fn pass(&mut self) -> bool {
         let ctx = &*self.ctx;
-        ctx.classifier_stats.note_occupancy(self.inject_rx.len());
+        ctx.stats.classifier.note_occupancy(self.inject_rx.len());
         let mut progress = false;
         if self.pending.len() < BURST {
             self.scratch.clear();
@@ -506,7 +564,7 @@ impl crate::exec::StageCore for ClassifierTask {
                 &mut self.pending,
                 &ctx.pool,
                 &mut self.sink,
-                &ctx.classifier_stats,
+                &ctx.stats.classifier,
                 Some(&ctx.tele),
             );
             // Malformed / unmatched packets are finished here, and the
@@ -535,7 +593,7 @@ impl crate::exec::StageCore for ClassifierTask {
 /// Where an NF runtime parks between sessions, so the engine can rebuild
 /// it, harvest its failure report and reach the NF's flow state.
 type RtSlot = Mutex<Option<NfRt>>;
-type NfRt = NfRuntime<Box<dyn NetworkFunction>>;
+pub(crate) type NfRt = NfRuntime<Box<dyn NetworkFunction>>;
 
 /// One delivered packet: inject → collect latency, and the packet if kept.
 type OutputRow = (Duration, Option<Packet>);
@@ -566,7 +624,7 @@ impl crate::exec::StageCore for NfTask {
     fn pass(&mut self) -> bool {
         let ctx = &*self.ctx;
         let watch = &ctx.watch[self.i];
-        let stats = &ctx.nf_stats[self.i];
+        let stats = &ctx.stats.nfs[self.i];
         watch.hb.fetch_add(1, Ordering::Relaxed);
         let rt = self.rt.as_mut().expect("runtime present until finish");
         if watch.failed.load(Ordering::Acquire) {
@@ -655,7 +713,7 @@ impl crate::exec::StageCore for AgentTask {
         let mut progress = false;
         // 1. Route inbound copies/nils, stamping sequence numbers.
         for rx in &self.rxs {
-            ctx.agent_stats.note_occupancy(rx.len());
+            ctx.stats.agent.note_occupancy(rx.len());
             self.batch.clear();
             if rx.pop_burst(&mut self.batch, BURST) == 0 {
                 continue;
@@ -670,7 +728,7 @@ impl crate::exec::StageCore for AgentTask {
                 &mut self.batch,
                 &ctx.pool,
                 &mut self.resolver,
-                &ctx.agent_stats,
+                &ctx.stats.agent,
                 &mut self.picks,
             );
             ctx.tele
@@ -693,7 +751,7 @@ impl crate::exec::StageCore for AgentTask {
                     &ctx.pool,
                     &mut self.resolver,
                     &mut self.sink,
-                    &ctx.agent_stats,
+                    &ctx.stats.agent,
                 );
                 for epoch in drops {
                     ctx.handle.finish(epoch);
@@ -751,7 +809,7 @@ impl crate::exec::StageCore for MergerTask {
 
     fn pass(&mut self) -> bool {
         let ctx = &*self.ctx;
-        let stats = &ctx.merger_stats[self.m];
+        let stats = &ctx.stats.mergers[self.m];
         let mut progress = false;
         for rx in &self.rxs {
             stats.note_occupancy(rx.len());
@@ -829,7 +887,7 @@ impl crate::exec::StageCore for CollectorTask {
         let ctx = &*self.ctx;
         let mut progress = false;
         for rx in &self.rxs {
-            ctx.collector_stats.note_occupancy(rx.len());
+            ctx.stats.collector.note_occupancy(rx.len());
             self.batch.clear();
             if rx.pop_burst(&mut self.batch, BURST) == 0 {
                 continue;
@@ -837,7 +895,7 @@ impl crate::exec::StageCore for CollectorTask {
             progress = true;
             let t0 = ctx.tele.clock();
             self.pkts.clear();
-            collector::collect_burst(&self.batch, &ctx.pool, &ctx.collector_stats, &mut self.pkts);
+            collector::collect_burst(&self.batch, &ctx.pool, &ctx.stats.collector, &mut self.pkts);
             ctx.tele
                 .record_split(Stage::Collector, t0, self.batch.len() as u64);
             let t_out = ctx.now_ns();
@@ -916,31 +974,22 @@ fn validate_wiring(program: &Program, mergers: usize) -> Result<(), EngineError>
     check(Stage::Agent, agent_needed)
 }
 
-/// What the injector loop pulls from: a pre-materialized batch (the
-/// historical closed-loop entry points) or a live [`Ingress`] pulled in
-/// bursts. Streaming keeps the burst buffered locally so backpressure
-/// (`max_in_flight`, ring-full retries) applies per packet, exactly as
-/// in the batch path.
-pub(crate) enum Feed<'a> {
-    Batch(std::vec::IntoIter<Packet>),
-    Stream {
-        ingress: &'a mut dyn Ingress,
-        burst: usize,
-        buf: VecDeque<Packet>,
-        done: bool,
-        error: Option<IoError>,
-    },
+/// What the injector loop pulls from: an [`Ingress`] pulled in bursts
+/// (a batch run is a [`VecIngress`]). The burst is buffered locally so
+/// backpressure (`max_in_flight`, ring-full retries) applies per packet.
+pub(crate) struct Feed<'a> {
+    ingress: &'a mut dyn Ingress,
+    burst: usize,
+    buf: VecDeque<Packet>,
+    done: bool,
+    error: Option<IoError>,
 }
 
 impl<'a> Feed<'a> {
-    pub(crate) fn batch(packets: Vec<Packet>) -> Self {
-        Feed::Batch(packets.into_iter())
-    }
-
-    fn stream(ingress: &'a mut dyn Ingress, burst: usize) -> Self {
-        Feed::Stream {
+    pub(crate) fn new(ingress: &'a mut dyn Ingress, burst: usize) -> Self {
+        Feed {
             ingress,
-            burst,
+            burst: burst.max(1),
             buf: VecDeque::new(),
             done: false,
             error: None,
@@ -948,41 +997,24 @@ impl<'a> Feed<'a> {
     }
 
     /// Next packet to inject, or `None` when the source is exhausted
-    /// (batch empty, ingress end-of-stream, or ingress error — the error
-    /// is parked for [`Feed::take_error`] so the run still drains what
-    /// was already injected).
+    /// (end of stream or ingress error — the error is kept for
+    /// [`Session::finish`] so the run still drains what was injected).
     fn next(&mut self) -> Option<Packet> {
-        match self {
-            Feed::Batch(it) => it.next(),
-            Feed::Stream {
-                ingress,
-                burst,
-                buf,
-                done,
-                error,
-            } => loop {
-                if let Some(pkt) = buf.pop_front() {
-                    return Some(pkt);
+        loop {
+            if let Some(pkt) = self.buf.pop_front() {
+                return Some(pkt);
+            }
+            if self.done {
+                return None;
+            }
+            match self.ingress.next_burst(self.burst) {
+                Ok(Some(pkts)) => self.buf.extend(pkts),
+                Ok(None) => self.done = true,
+                Err(e) => {
+                    self.error = Some(e);
+                    self.done = true;
                 }
-                if *done {
-                    return None;
-                }
-                match ingress.next_burst(*burst) {
-                    Ok(Some(pkts)) => buf.extend(pkts),
-                    Ok(None) => *done = true,
-                    Err(e) => {
-                        *error = Some(e);
-                        *done = true;
-                    }
-                }
-            },
-        }
-    }
-
-    fn take_error(&mut self) -> Option<IoError> {
-        match self {
-            Feed::Batch(_) => None,
-            Feed::Stream { error, .. } => error.take(),
+            }
         }
     }
 }
@@ -1069,11 +1101,7 @@ impl Engine {
         let ctx = Arc::new(StageCtx {
             pool: CachePadded::new(PacketPool::new(config.pool_size)),
             handle: Arc::clone(&handle),
-            classifier_stats: StageStats::new(),
-            nf_stats: (0..n_nfs).map(|_| StageStats::new()).collect(),
-            agent_stats: StageStats::new(),
-            merger_stats: (0..n_mergers).map(|_| StageStats::new()).collect(),
-            collector_stats: StageStats::new(),
+            stats: StageSet::new(n_nfs, n_mergers),
             tele: Telemetry::new(config.telemetry.clone(), n_nfs, n_mergers),
             hub: CachePadded::new(hub),
             gate: SessionGate::new(),
@@ -1256,68 +1284,46 @@ impl Engine {
 
     /// Run one session over `packets` (closed loop) and report.
     pub fn run(&mut self, packets: Vec<Packet>) -> EngineReport {
-        let (report, _, err) = self.run_feed(Feed::batch(packets));
-        debug_assert!(err.is_none(), "batch feeds cannot fail");
-        report
+        let keep = self.config.keep_packets;
+        self.stream(&mut VecIngress::new(packets), keep).0
     }
 
     /// Run the engine against a pluggable [`Ingress`]/[`Egress`] backend
     /// pair: bursts of [`EngineConfig::io_burst`] packets are pulled and
-    /// injected on the caller thread until the ingress reports end of
-    /// stream, then every delivered packet is emitted to `egress` (in
-    /// collector completion order) and the egress is flushed.
-    ///
-    /// `keep_packets` is forced on for the duration of the call so
-    /// delivered frames exist to emit; the caller's setting is restored
-    /// (and the packets dropped from the report) afterwards.
+    /// injected on the caller thread until the ingress ends, then every
+    /// delivered packet is emitted to `egress` (in collector completion
+    /// order) and the egress is flushed — also when the ingress failed,
+    /// see [`finish_io`].
     pub fn run_io(
         &mut self,
         ingress: &mut dyn Ingress,
         egress: &mut dyn Egress,
     ) -> Result<(EngineReport, IoRunStats), IoError> {
-        let keep = self.set_keep_packets(true);
-        let burst = self.config.io_burst.max(1);
-        let (mut report, _recorder, err) = self.run_feed(Feed::stream(ingress, burst));
-        self.set_keep_packets(keep);
-        if let Some(e) = err {
-            return Err(e);
-        }
-        egress.emit_burst(&report.packets)?;
-        egress.flush()?;
-        let rejected = report.stats.classifier.rejects();
-        let io = IoRunStats {
-            pulled: report.injected,
-            delivered: report.delivered,
-            dropped: report.dropped.saturating_sub(rejected),
-            rejected,
-        };
-        if !keep {
-            report.packets.clear();
-        }
-        Ok((report, io))
+        let (report, err) = self.stream(ingress, true);
+        finish_io(report, err, egress, self.config.keep_packets)
     }
 
-    /// Crate-internal toggle for the sharded front-end's I/O entry
-    /// point: force delivered packets to materialize for the run, then
-    /// restore. Returns the previous setting.
-    pub(crate) fn set_keep_packets(&mut self, keep: bool) -> bool {
-        std::mem::replace(&mut self.config.keep_packets, keep)
-    }
-
-    /// One session on the caller thread, start to finish (an ingress
-    /// error stops injection; everything injected is still accounted).
-    fn run_feed<'a>(&'a mut self, feed: Feed<'a>) -> SessionResult {
-        let ctx = Arc::clone(&self.ctx);
-        let policy = self.config.idle_policy;
-        let mut session = self.begin(feed);
+    /// One session over `ingress` on the caller thread, start to finish,
+    /// keeping delivered packets in the report when `keep` is set. An
+    /// ingress error stops injection; it is returned beside the report of
+    /// everything pulled before it.
+    pub(crate) fn stream(
+        &mut self,
+        ingress: &mut dyn Ingress,
+        keep: bool,
+    ) -> (EngineReport, Option<IoError>) {
+        let (ctx, policy) = (Arc::clone(&self.ctx), self.config.idle_policy);
+        let feed = Feed::new(ingress, self.config.io_burst);
+        let mut session = self.begin(feed, keep);
         drive_sessions(std::slice::from_mut(&mut session), &ctx.hub, policy);
-        session.finish()
+        let (report, _, err) = session.finish();
+        (report, err)
     }
 
     /// Open a session without blocking: reset what a freshly built engine
     /// starts from — every stage thread waits at the gate, so nothing
     /// records concurrently — then open the gate.
-    pub(crate) fn begin<'a>(&'a mut self, feed: Feed<'a>) -> Session<'a> {
+    pub(crate) fn begin<'a>(&'a mut self, feed: Feed<'a>, keep: bool) -> Session<'a> {
         let ctx = &*self.ctx;
         // Failure and bypass state resets with a runtime rebuilt from the
         // current program; the NF (and its flow state) carries over.
@@ -1327,7 +1333,7 @@ impl Engine {
             let nf = slot.take().expect("runtime parked between sessions");
             *slot = Some(NfRuntime::new(nf.into_nf(), cfg.clone()));
         }
-        ctx.all_stats().for_each(StageStats::reset);
+        ctx.stats.reset();
         ctx.tele.reset();
         ctx.delivered.store(0, Ordering::Relaxed);
         ctx.dropped.store(0, Ordering::Relaxed);
@@ -1335,8 +1341,7 @@ impl Engine {
         for w in &ctx.watch {
             w.failed.store(false, Ordering::Relaxed);
         }
-        ctx.keep_packets
-            .store(self.config.keep_packets, Ordering::Relaxed);
+        ctx.keep_packets.store(keep, Ordering::Relaxed);
         // One live-audit gauge slot per session, budgeted to the window.
         let gauges = self.config.probe.as_ref().map(|p| p.register());
         if let Some(g) = &gauges {
@@ -1619,16 +1624,9 @@ impl Session<'_> {
             latency.record(sample);
             packets.extend(pkt);
         }
-        let failures = self.engine.with_runtimes(|node, rt| {
-            rt.failure().cloned().map(|kind| NfFailure {
-                node,
-                nf: rt.nf().name().to_string(),
-                kind,
-                policy: rt.failure_policy(),
-                bypassed: rt.bypassed,
-                policy_drops: rt.policy_drops,
-            })
-        });
+        let failures = self
+            .engine
+            .with_runtimes(|node, rt| NfFailure::of(node, rt));
         let report = EngineReport {
             injected: self.injected,
             delivered: ctx.delivered.load(Ordering::Acquire),
@@ -1636,13 +1634,7 @@ impl Session<'_> {
             elapsed: self.started.elapsed(),
             latency: latency.summary(),
             packets,
-            stats: EngineStats {
-                classifier: ctx.classifier_stats.snapshot(),
-                nfs: ctx.nf_stats.iter().map(StageStats::snapshot).collect(),
-                agent: ctx.agent_stats.snapshot(),
-                mergers: ctx.merger_stats.iter().map(StageStats::snapshot).collect(),
-                collector: ctx.collector_stats.snapshot(),
-            },
+            stats: ctx.stats.snapshot(),
             failures: failures.into_iter().flatten().collect(),
             pool_in_use: ctx.pool.in_use(),
             epoch: ctx.handle.epoch(),
@@ -1650,7 +1642,7 @@ impl Session<'_> {
             telemetry: ctx.tele.snapshot(),
             migration: MigrationStats::default(),
         };
-        (report, latency, self.feed.take_error())
+        (report, latency, self.feed.error.take())
     }
 }
 
@@ -1675,37 +1667,12 @@ pub(crate) fn drive_sessions(sessions: &mut [Session<'_>], hub: &WakeHub, policy
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nfp_nf::firewall::Firewall;
-    use nfp_nf::lb::LoadBalancer;
-    use nfp_nf::monitor::Monitor;
-    use nfp_orchestrator::{compile, CompileOptions, Registry};
+    use crate::testkit::chain_program;
     use nfp_packet::ipv4::Ipv4Addr;
-    use nfp_policy::Policy;
     use nfp_traffic::{SizeDistribution, TrafficGenerator, TrafficSpec};
 
     fn build(chain: &[&str], config: EngineConfig) -> Engine {
-        let reg = Registry::paper_table2();
-        let compiled = compile(
-            &Policy::from_chain(chain.iter().copied()),
-            &reg,
-            &[],
-            &CompileOptions::default(),
-        )
-        .unwrap();
-        let program = compiled.program(1).unwrap();
-        let nfs: Vec<Box<dyn NetworkFunction>> = compiled
-            .graph
-            .nodes
-            .iter()
-            .map(|n| -> Box<dyn NetworkFunction> {
-                match n.name.as_str() {
-                    "Monitor" => Box::new(Monitor::new("Monitor")),
-                    "Firewall" => Box::new(Firewall::with_synthetic_acl("Firewall", 100)),
-                    "LoadBalancer" => Box::new(LoadBalancer::with_uniform_backends("LB", 4)),
-                    other => panic!("{other}"),
-                }
-            })
-            .collect();
+        let (program, nfs) = chain_program(chain);
         Engine::new(program, nfs, config).unwrap()
     }
 
@@ -1844,15 +1811,7 @@ mod tests {
 
     #[test]
     fn misconfigurations_rejected_up_front() {
-        let reg = Registry::paper_table2();
-        let compiled = compile(
-            &Policy::from_chain(["Monitor", "Firewall"]),
-            &reg,
-            &[],
-            &CompileOptions::default(),
-        )
-        .unwrap();
-        let program = compiled.program(1).unwrap();
+        let program = chain_program(&["Monitor", "Firewall"]).0;
         // slots_per_packet = 2 for this graph: pool 16 cannot cover 16
         // in-flight packets.
         let err = Engine::new(program.clone(), Vec::new(), EngineConfig::default())
@@ -1865,12 +1824,7 @@ mod tests {
                 got: 0
             }
         ));
-        let nfs = || -> Vec<Box<dyn NetworkFunction>> {
-            vec![
-                Box::new(Monitor::new("Monitor")),
-                Box::new(Firewall::with_synthetic_acl("Firewall", 100)),
-            ]
-        };
+        let nfs = || chain_program(&["Monitor", "Firewall"]).1;
         let err = Engine::new(
             program.clone(),
             nfs(),
@@ -1907,21 +1861,8 @@ mod tests {
 
     #[test]
     fn threading_misconfigurations_rejected_up_front() {
-        let reg = Registry::paper_table2();
-        let compiled = compile(
-            &Policy::from_chain(["Monitor", "Firewall"]),
-            &reg,
-            &[],
-            &CompileOptions::default(),
-        )
-        .unwrap();
-        let program = compiled.program(1).unwrap();
-        let nfs = || -> Vec<Box<dyn NetworkFunction>> {
-            vec![
-                Box::new(Monitor::new("Monitor")),
-                Box::new(Firewall::with_synthetic_acl("Firewall", 100)),
-            ]
-        };
+        let program = chain_program(&["Monitor", "Firewall"]).0;
+        let nfs = || chain_program(&["Monitor", "Firewall"]).1;
         // A zero core budget leaves no thread to run stages on.
         let err = Engine::new(
             program.clone(),

@@ -27,6 +27,9 @@
 //! * [`sync_engine`] — a deterministic single-threaded executor driving
 //!   the cores from one FIFO queue; the reference for correctness tests
 //!   (paper §6.4's replay experiment) and property tests.
+//! * [`dataplane`] — the one engine interface: an [`EngineSpec`] names an
+//!   executor and its config, [`Dataplane::build`] builds it, and every
+//!   harness drives the resulting [`Dataplane`] the same way.
 //! * [`engine`] — the multi-threaded engine: burst-driven stage cores for
 //!   the classifier, NFs, merger agent, N merger instances and collector,
 //!   wired with SPSC rings and scheduled onto a bounded set of threads.
@@ -67,6 +70,7 @@ pub mod autoscale;
 pub mod chaos_schedule;
 pub mod classifier;
 pub mod cores;
+pub mod dataplane;
 pub mod engine;
 pub mod exec;
 pub mod merger;
@@ -77,6 +81,8 @@ pub mod stats;
 pub mod swap;
 pub mod sync_engine;
 pub mod telemetry;
+#[cfg(test)]
+mod testkit;
 
 pub use audit::{
     spawn_auditor, AuditConfig, AuditorHandle, EngineProbe, InvariantReport, LiveAudit,
@@ -85,6 +91,7 @@ pub use audit::{
 pub use autoscale::{AutoscalePolicy, Autoscaler, LoadSignals, ScaleDecision};
 pub use chaos_schedule::{drive_swaps, ChaosAction, ChaosScript, SwapLog};
 pub use classifier::Classifier;
+pub use dataplane::{Dataplane, EngineKind, EngineSpec};
 pub use engine::{
     Engine, EngineConfig, EngineController, EngineError, EngineReport, MigrationStats, NfFailure,
 };

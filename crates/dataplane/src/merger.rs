@@ -12,7 +12,6 @@
 //! hashing the immutable PID, so all copies of one packet land on the same
 //! instance while different packets of a flow may spread.
 
-use crate::actions::Msg;
 use nfp_orchestrator::graph::{HeaderKind, MergeOp};
 use nfp_orchestrator::tables::MergeSpec;
 use nfp_orchestrator::FailurePolicy;
@@ -539,11 +538,6 @@ pub fn make_nil(meta: nfp_packet::Metadata, priority: u32) -> Packet {
     nil.set_nil(true);
     nil.set_nil_priority(priority);
     nil
-}
-
-/// Convenience: classify a merger-bound [`Msg`] into an [`Arrival`].
-pub fn arrival_of_msg(pool: &PacketPool, msg: Msg) -> Arrival {
-    arrival_from(pool, msg.r)
 }
 
 #[cfg(test)]

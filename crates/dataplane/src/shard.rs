@@ -17,17 +17,15 @@
 //! stay shard-local by construction — each replica owns its cores.
 
 use crate::engine::{
-    drive_sessions, Engine, EngineConfig, EngineController, EngineError, EngineReport, Feed,
-    MigrationStats,
+    add_tallies, drive_sessions, finish_io, Engine, EngineConfig, EngineController, EngineError,
+    EngineReport, Feed, MigrationStats,
 };
 use crate::exec::WakeHub;
-use crate::stats::EngineStats;
 use crate::swap::{EpochReport, EpochTally, ReconfigError, ShardSwap};
-use crate::telemetry::TelemetrySnapshot;
 use nfp_nf::{FlowSnapshot, NetworkFunction};
 use nfp_orchestrator::Program;
 use nfp_packet::flow::FlowKey;
-use nfp_packet::io::{Egress, Ingress, IoError, IoRunStats};
+use nfp_packet::io::{Egress, Ingress, IoError, IoRunStats, VecIngress};
 use nfp_packet::Packet;
 use nfp_traffic::LatencyRecorder;
 use std::sync::Arc;
@@ -111,6 +109,9 @@ pub struct ShardedEngine {
     config: EngineConfig,
     /// Lifetime migration census, surfaced in every run's report.
     migration: MigrationStats,
+    /// Epoch tallies of the fleets retired by rescales: with the live
+    /// shards' they make up the fleet's lifetime tallies.
+    retired: Vec<EpochTally>,
     /// Parent of every replica's wake hub: the caller thread drives all
     /// shards' sessions and parks here between polls.
     hub: Arc<WakeHub>,
@@ -145,6 +146,7 @@ impl ShardedEngine {
             make_nfs,
             config: config.clone(),
             migration: MigrationStats::default(),
+            retired: Vec::new(),
             hub,
         })
     }
@@ -189,6 +191,12 @@ impl ShardedEngine {
     /// Number of shard replicas.
     pub fn shards(&self) -> usize {
         self.shards.len()
+    }
+
+    /// The newest program epoch across the shards (they differ only
+    /// while a rollout is part-way).
+    pub fn epoch(&self) -> u64 {
+        self.shards.iter().map(Engine::epoch).max().unwrap_or(0)
     }
 
     /// One detached [`EngineController`] per shard, in shard order — for
@@ -265,18 +273,9 @@ impl ShardedEngine {
     pub fn rescale(&mut self, new_shards: usize) -> Result<ScaleReport, EngineError> {
         let started = Instant::now();
         let from_shards = self.shards.len();
-        let n_nfs = self.program.nf_count();
         let stateful_nfs = self.program.stateful_nodes().len();
-
-        // Export and merge per NF position across the retiring fleet.
-        let mut merged: Vec<FlowSnapshot> = (0..n_nfs).map(|_| FlowSnapshot::default()).collect();
-        let mut flows_exported = 0u64;
-        for engine in &self.shards {
-            for (i, snap) in engine.export_flow_state().into_iter().enumerate() {
-                flows_exported += snap.len() as u64;
-                merged[i].merge(snap);
-            }
-        }
+        let merged = self.export_flow_state();
+        let flows_exported = merged.iter().map(|snap| snap.len() as u64).sum();
 
         // Build the replacement fleet before touching the old one.
         let mut fleet = Self::build_fleet(
@@ -292,6 +291,9 @@ impl ShardedEngine {
         let shard_migrations = import_partitioned(&mut fleet, &merged);
         let flows_imported = shard_migrations.iter().map(|m| m.flows_in).sum();
 
+        for engine in &self.shards {
+            add_tallies(&mut self.retired, &engine.handle().tallies());
+        }
         self.shards = fleet;
         self.migration.rescales += 1;
         self.migration.flows_exported += flows_exported;
@@ -339,110 +341,48 @@ impl ShardedEngine {
     }
 
     /// Dispatch `packets` to their shards and run every replica
-    /// concurrently, aggregating the per-shard results into one report:
-    /// counters sum, per-stage counters fold stage-by-stage
-    /// ([`EngineStats::merge`]), latency samples merge into one summary,
-    /// and `elapsed` is the wall-clock of the whole sharded run (so
+    /// concurrently, folding the per-shard reports into one
+    /// ([`EngineReport::absorb`]): latency samples merge into one summary,
+    /// epoch tallies span the fleet's lifetime (rescales included), and
+    /// `elapsed` is the wall-clock of the whole sharded run (so
     /// [`EngineReport::pps`] reflects actual scale-out, not a sum of
     /// per-shard rates).
     pub fn run(&mut self, packets: Vec<Packet>) -> EngineReport {
-        let parts = partition_by_flow(packets, self.shards.len());
-        let started = Instant::now();
-        let mut results = self.run_parts(parts);
-        let elapsed = started.elapsed();
-
-        let mut injected = 0;
-        let mut delivered = 0;
-        let mut dropped = 0;
-        let mut stats = EngineStats::default();
-        let mut latency = LatencyRecorder::new();
-        let mut packets_out = Vec::new();
-        let mut failures = Vec::new();
-        let mut pool_in_use = 0;
-        let mut epoch = 0;
-        let mut epochs: Vec<EpochTally> = Vec::new();
-        let mut telemetry = TelemetrySnapshot::empty();
-        for (shard, (report, recorder)) in results.iter_mut().enumerate() {
-            // Tag each shard's trace hops before folding: PIDs are dense
-            // per shard, so the shard index keeps fleet-wide traces from
-            // colliding.
-            report.telemetry.tag_shard(shard as u32);
-            telemetry.merge(&report.telemetry);
-            injected += report.injected;
-            delivered += report.delivered;
-            dropped += report.dropped;
-            stats.merge(&report.stats);
-            latency.merge(recorder);
-            packets_out.append(&mut report.packets);
-            failures.append(&mut report.failures);
-            pool_in_use += report.pool_in_use;
-            epoch = epoch.max(report.epoch);
-            // Fold per-shard tallies: completions sum per epoch.
-            for t in &report.epochs {
-                match epochs.iter_mut().find(|e| e.epoch == t.epoch) {
-                    Some(e) => e.completed += t.completed,
-                    None => epochs.push(*t),
-                }
-            }
-        }
-        epochs.sort_by_key(|t| t.epoch);
-        EngineReport {
-            injected,
-            delivered,
-            dropped,
-            elapsed,
-            latency: latency.summary(),
-            packets: packets_out,
-            stats,
-            failures,
-            pool_in_use,
-            epoch,
-            epochs,
-            telemetry,
-            migration: self.migration,
-        }
+        let keep = self.config.keep_packets;
+        self.run_parts(partition_by_flow(packets, self.shards.len()), keep)
     }
 
-    /// Stream a pluggable [`Ingress`] through the whole fleet. The RSS
-    /// front-end must see the full stream to partition it, so the
-    /// ingress is drained first (in [`EngineConfig::io_burst`]-sized
-    /// pulls), every shard then runs concurrently as in
-    /// [`ShardedEngine::run`], and the fleet's delivered packets are
-    /// emitted to `egress` in folded shard order. Delivered packets are
-    /// forced to materialize for the emission and the caller's
-    /// `keep_packets` setting restored afterwards.
+    /// Stream a pluggable [`Ingress`] through the whole fleet and emit
+    /// its delivered packets to `egress` in folded shard order — also
+    /// when the ingress failed, see [`finish_io`].
     pub fn run_io(
         &mut self,
         ingress: &mut dyn Ingress,
         egress: &mut dyn Egress,
     ) -> Result<(EngineReport, IoRunStats), IoError> {
-        let burst = self.config.io_burst.max(1);
+        let (report, err) = self.stream(ingress, true);
+        finish_io(report, err, egress, self.config.keep_packets)
+    }
+
+    /// The RSS front-end must see the full stream to partition it, so
+    /// the ingress is drained first (in [`EngineConfig::io_burst`]-sized
+    /// pulls, up to its end or its error), then every shard runs as in
+    /// [`ShardedEngine::run`].
+    pub(crate) fn stream(
+        &mut self,
+        ingress: &mut dyn Ingress,
+        keep: bool,
+    ) -> (EngineReport, Option<IoError>) {
         let mut all = Vec::new();
-        while let Some(pkts) = ingress.next_burst(burst)? {
-            all.extend(pkts);
-        }
-        let prev: Vec<bool> = self
-            .shards
-            .iter_mut()
-            .map(|e| e.set_keep_packets(true))
-            .collect();
-        let mut report = self.run(all);
-        for (e, keep) in self.shards.iter_mut().zip(prev) {
-            e.set_keep_packets(keep);
-        }
-        egress.emit_burst(&report.packets)?;
-        egress.flush()?;
-        let rejected = report.stats.classifier.rejects();
-        let io = IoRunStats {
-            pulled: report.injected,
-            delivered: report.delivered,
-            dropped: report.dropped.saturating_sub(rejected),
-            rejected,
+        let err = loop {
+            match ingress.next_burst(self.config.io_burst.max(1)) {
+                Ok(Some(pkts)) => all.extend(pkts),
+                Ok(None) => break None,
+                Err(e) => break Some(e),
+            }
         };
-        if !self.config.keep_packets {
-            report.packets.clear();
-        }
-        Ok((report, io))
+        let parts = partition_by_flow(all, self.shards.len());
+        (self.run_parts(parts, keep), err)
     }
 
     /// Like [`ShardedEngine::run`] but keeping the per-shard reports
@@ -451,18 +391,51 @@ impl ShardedEngine {
     /// sub-stream.
     pub fn run_per_shard(&mut self, packets: Vec<Packet>) -> Vec<EngineReport> {
         let parts = partition_by_flow(packets, self.shards.len());
-        self.run_parts(parts).into_iter().map(|(r, _)| r).collect()
+        let keep = self.config.keep_packets;
+        self.run_shards(parts, keep)
+            .into_iter()
+            .map(|(r, _)| r)
+            .collect()
+    }
+
+    /// [`ShardedEngine::run_shards`], folded into the fleet's report.
+    fn run_parts(&mut self, parts: Vec<Vec<Packet>>, keep: bool) -> EngineReport {
+        let started = Instant::now();
+        let mut latency = LatencyRecorder::new();
+        let mut fleet: Option<EngineReport> = None;
+        for (shard, (mut report, samples)) in self.run_shards(parts, keep).into_iter().enumerate() {
+            // PIDs are dense per shard: the shard index keeps fleet-wide
+            // traces from colliding.
+            report.telemetry.tag_shard(shard as u32);
+            latency.merge(&samples);
+            match &mut fleet {
+                Some(fleet) => fleet.absorb(report),
+                None => fleet = Some(report),
+            }
+        }
+        let mut report = fleet.expect("at least one shard");
+        report.elapsed = started.elapsed();
+        report.latency = latency.summary();
+        add_tallies(&mut report.epochs, &self.retired);
+        report.migration = self.migration;
+        report
     }
 
     /// Run one session per shard over its sub-stream, all driven from
     /// the calling thread: it injects into every shard in turn and parks
     /// on the fleet's shared hub when none can move.
-    fn run_parts(&mut self, parts: Vec<Vec<Packet>>) -> Vec<(EngineReport, LatencyRecorder)> {
+    fn run_shards(
+        &mut self,
+        parts: Vec<Vec<Packet>>,
+        keep: bool,
+    ) -> Vec<(EngineReport, LatencyRecorder)> {
+        let burst = self.config.io_burst;
+        let mut feeds: Vec<VecIngress> = parts.into_iter().map(VecIngress::new).collect();
         let mut sessions: Vec<_> = self
             .shards
             .iter_mut()
-            .zip(parts)
-            .map(|(engine, part)| engine.begin(Feed::batch(part)))
+            .zip(&mut feeds)
+            .map(|(engine, part)| engine.begin(Feed::new(part, burst), keep))
             .collect();
         drive_sessions(&mut sessions, &self.hub, self.config.idle_policy);
         sessions
@@ -504,28 +477,15 @@ fn import_partitioned(fleet: &mut [Engine], merged: &[FlowSnapshot]) -> Vec<Shar
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nfp_nf::firewall::Firewall;
-    use nfp_nf::monitor::Monitor;
-    use nfp_orchestrator::{compile, CompileOptions, Registry};
-    use nfp_policy::Policy;
+    use crate::testkit::{chain_program, nf};
     use nfp_traffic::{SizeDistribution, TrafficGenerator, TrafficSpec};
 
     fn firewall_program() -> Program {
-        let compiled = compile(
-            &Policy::from_chain(["Monitor", "Firewall"]),
-            &Registry::paper_table2(),
-            &[],
-            &CompileOptions::default(),
-        )
-        .unwrap();
-        compiled.program(1).unwrap()
+        chain_program(&["Monitor", "Firewall"]).0
     }
 
     fn nfs() -> Vec<Box<dyn NetworkFunction>> {
-        vec![
-            Box::new(Monitor::new("Monitor")),
-            Box::new(Firewall::with_synthetic_acl("Firewall", 100)),
-        ]
+        vec![nf("Monitor"), nf("Firewall")]
     }
 
     fn traffic(n: usize, flows: usize) -> Vec<Packet> {

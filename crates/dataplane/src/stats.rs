@@ -14,6 +14,7 @@
 //! waited out (the mesh is deadlock-free) and surface as `backpressure`
 //! stall events instead.
 
+use nfp_orchestrator::Stage;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Atomically raise `slot` to at least `value` with a compare-and-swap
@@ -180,59 +181,6 @@ impl StageStats {
         };
         c.fetch_add(1, Ordering::Relaxed);
     }
-
-    /// Zero every counter — the start of a session on a long-lived
-    /// engine. Only sound while no stage is recording.
-    pub(crate) fn reset(&self) {
-        for c in [
-            &self.packets_in,
-            &self.packets_out,
-            &self.copies,
-            &self.nil_packets,
-            &self.merges,
-            &self.backpressure,
-            &self.ring_high_water,
-            &self.misroutes,
-            &self.late_arrivals,
-            &self.stale_epochs,
-            &self.epoch_conflicts,
-            &self.drop_nf_verdict,
-            &self.drop_nf_error,
-            &self.drop_merge_resolved,
-            &self.drop_merge_error,
-            &self.drop_admit_rejected,
-            &self.drop_admit_malformed,
-            &self.drop_nf_failed,
-            &self.drop_merge_expired,
-        ] {
-            c.store(0, Ordering::Relaxed);
-        }
-    }
-
-    /// Plain-value snapshot of the counters.
-    pub fn snapshot(&self) -> StageSnapshot {
-        StageSnapshot {
-            packets_in: self.packets_in.load(Ordering::Relaxed),
-            packets_out: self.packets_out.load(Ordering::Relaxed),
-            copies: self.copies.load(Ordering::Relaxed),
-            nil_packets: self.nil_packets.load(Ordering::Relaxed),
-            merges: self.merges.load(Ordering::Relaxed),
-            backpressure: self.backpressure.load(Ordering::Relaxed),
-            ring_high_water: self.ring_high_water.load(Ordering::Relaxed),
-            misroutes: self.misroutes.load(Ordering::Relaxed),
-            late_arrivals: self.late_arrivals.load(Ordering::Relaxed),
-            stale_epochs: self.stale_epochs.load(Ordering::Relaxed),
-            epoch_conflicts: self.epoch_conflicts.load(Ordering::Relaxed),
-            drop_nf_verdict: self.drop_nf_verdict.load(Ordering::Relaxed),
-            drop_nf_error: self.drop_nf_error.load(Ordering::Relaxed),
-            drop_merge_resolved: self.drop_merge_resolved.load(Ordering::Relaxed),
-            drop_merge_error: self.drop_merge_error.load(Ordering::Relaxed),
-            drop_admit_rejected: self.drop_admit_rejected.load(Ordering::Relaxed),
-            drop_admit_malformed: self.drop_admit_malformed.load(Ordering::Relaxed),
-            drop_nf_failed: self.drop_nf_failed.load(Ordering::Relaxed),
-            drop_merge_expired: self.drop_merge_expired.load(Ordering::Relaxed),
-        }
-    }
 }
 
 /// Plain-value counters for one stage (what reports carry).
@@ -297,33 +245,61 @@ impl StageSnapshot {
     pub fn rejects(&self) -> u64 {
         self.drop_admit_rejected + self.drop_admit_malformed
     }
-
-    /// Fold another snapshot of the *same logical stage* into this one.
-    /// Counters sum; `ring_high_water` keeps the maximum (it is a peak
-    /// observation, not a flow count). Used to aggregate per-shard stats
-    /// into one fleet-wide view.
-    pub fn absorb(&mut self, other: &StageSnapshot) {
-        self.packets_in += other.packets_in;
-        self.packets_out += other.packets_out;
-        self.copies += other.copies;
-        self.nil_packets += other.nil_packets;
-        self.merges += other.merges;
-        self.backpressure += other.backpressure;
-        self.ring_high_water = self.ring_high_water.max(other.ring_high_water);
-        self.misroutes += other.misroutes;
-        self.late_arrivals += other.late_arrivals;
-        self.stale_epochs += other.stale_epochs;
-        self.epoch_conflicts += other.epoch_conflicts;
-        self.drop_nf_verdict += other.drop_nf_verdict;
-        self.drop_nf_error += other.drop_nf_error;
-        self.drop_merge_resolved += other.drop_merge_resolved;
-        self.drop_merge_error += other.drop_merge_error;
-        self.drop_admit_rejected += other.drop_admit_rejected;
-        self.drop_admit_malformed += other.drop_admit_malformed;
-        self.drop_nf_failed += other.drop_nf_failed;
-        self.drop_merge_expired += other.drop_merge_expired;
-    }
 }
+
+/// Every counter of a stage, listed once: [`StageStats::reset`],
+/// [`StageStats::snapshot`] and [`StageSnapshot::absorb`] expand from
+/// the list, so none of them can miss a counter.
+macro_rules! stage_counters {
+    ($($c:ident),* $(,)?) => {
+        impl StageStats {
+            /// Zero every counter — the start of a session on a long-lived
+            /// engine. Only sound while no stage is recording.
+            pub(crate) fn reset(&self) {
+                $(self.$c.store(0, Ordering::Relaxed);)*
+            }
+
+            /// Plain-value snapshot of the counters.
+            pub fn snapshot(&self) -> StageSnapshot {
+                StageSnapshot { $($c: self.$c.load(Ordering::Relaxed),)* }
+            }
+        }
+
+        impl StageSnapshot {
+            /// Fold another snapshot of the *same logical stage* into this
+            /// one. Counters sum; `ring_high_water` keeps the maximum (it
+            /// is a peak observation, not a flow count). Used to aggregate
+            /// per-shard stats into one fleet-wide view.
+            pub fn absorb(&mut self, other: &StageSnapshot) {
+                let high_water = self.ring_high_water.max(other.ring_high_water);
+                $(self.$c += other.$c;)*
+                self.ring_high_water = high_water;
+            }
+        }
+    };
+}
+
+stage_counters!(
+    packets_in,
+    packets_out,
+    copies,
+    nil_packets,
+    merges,
+    backpressure,
+    ring_high_water,
+    misroutes,
+    late_arrivals,
+    stale_epochs,
+    epoch_conflicts,
+    drop_nf_verdict,
+    drop_nf_error,
+    drop_merge_resolved,
+    drop_merge_error,
+    drop_admit_rejected,
+    drop_admit_malformed,
+    drop_nf_failed,
+    drop_merge_expired,
+);
 
 /// Snapshot of every stage of one engine run.
 #[derive(Debug, Clone, Default)]
@@ -369,6 +345,14 @@ impl EngineStats {
         }
     }
 
+    /// Every stage folded into one snapshot: the single counter set of a
+    /// whole-engine view such as [`crate::SyncEngine::stats`].
+    pub fn fold(&self) -> StageSnapshot {
+        let mut all = StageSnapshot::default();
+        self.stages().for_each(|(_, s)| all.absorb(s));
+        all
+    }
+
     /// Iterate `(label, snapshot)` over every stage.
     pub fn stages(&self) -> impl Iterator<Item = (String, &StageSnapshot)> {
         std::iter::once(("classifier".to_string(), &self.classifier))
@@ -386,6 +370,59 @@ impl EngineStats {
                     .map(|(i, s)| (format!("merger{i}"), s)),
             )
             .chain(std::iter::once(("collector".to_string(), &self.collector)))
+    }
+}
+
+/// One live [`StageStats`] per pipeline stage: what an engine records
+/// into, snapshotted as [`EngineStats`].
+#[derive(Debug)]
+pub(crate) struct StageSet {
+    pub(crate) classifier: StageStats,
+    pub(crate) nfs: Vec<StageStats>,
+    pub(crate) agent: StageStats,
+    pub(crate) mergers: Vec<StageStats>,
+    pub(crate) collector: StageStats,
+}
+
+impl StageSet {
+    pub(crate) fn new(nfs: usize, mergers: usize) -> Self {
+        Self {
+            classifier: StageStats::new(),
+            nfs: (0..nfs).map(|_| StageStats::new()).collect(),
+            agent: StageStats::new(),
+            mergers: (0..mergers).map(|_| StageStats::new()).collect(),
+            collector: StageStats::new(),
+        }
+    }
+
+    /// The counters of `stage`.
+    pub(crate) fn get(&self, stage: Stage) -> &StageStats {
+        match stage {
+            Stage::Classifier => &self.classifier,
+            Stage::Nf(i) => &self.nfs[i],
+            Stage::Agent => &self.agent,
+            Stage::Merger(m) => &self.mergers[m],
+            Stage::Collector => &self.collector,
+        }
+    }
+
+    /// Zero every stage.
+    pub(crate) fn reset(&self) {
+        [&self.classifier, &self.agent, &self.collector]
+            .into_iter()
+            .chain(&self.nfs)
+            .chain(&self.mergers)
+            .for_each(StageStats::reset);
+    }
+
+    pub(crate) fn snapshot(&self) -> EngineStats {
+        EngineStats {
+            classifier: self.classifier.snapshot(),
+            nfs: self.nfs.iter().map(StageStats::snapshot).collect(),
+            agent: self.agent.snapshot(),
+            mergers: self.mergers.iter().map(StageStats::snapshot).collect(),
+            collector: self.collector.snapshot(),
+        }
     }
 }
 

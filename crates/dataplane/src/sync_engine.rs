@@ -11,17 +11,19 @@
 use crate::actions::{Deliver, Msg};
 use crate::classifier::{AdmitError, Classifier};
 use crate::cores::{collector, AgentCore, MergerCore};
+use crate::engine::{finish_io, EngineConfig, EngineReport, MigrationStats, NfFailure, NfRt};
 use crate::runtime::{FailureKind, NfRuntime};
-use crate::stats::{StageSnapshot, StageStats};
-use crate::swap::{EpochReport, EpochTally, ProgramHandle, ReconfigError, TablesResolver};
-use crate::telemetry::{Telemetry, TelemetryConfig, TelemetrySnapshot};
-use nfp_nf::NetworkFunction;
+use crate::stats::{EngineStats, StageSet, StageSnapshot};
+use crate::swap::{EpochReport, ProgramHandle, ReconfigError, TablesResolver};
+use crate::telemetry::{Telemetry, TelemetrySnapshot};
+use nfp_nf::{FlowSnapshot, NetworkFunction};
 use nfp_orchestrator::tables::Target;
 use nfp_orchestrator::{Program, Stage};
-use nfp_packet::io::{Egress, Ingress, IoError, IoRunStats};
+use nfp_packet::io::{Egress, Ingress, IoError, IoRunStats, VecIngress};
 use nfp_packet::pool::PacketPool;
 use nfp_packet::Packet;
 use std::collections::VecDeque;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -48,7 +50,7 @@ impl ProcessOutcome {
 pub struct SyncEngine {
     pool: Arc<PacketPool>,
     classifier: Classifier,
-    runtimes: Vec<NfRuntime<Box<dyn NetworkFunction>>>,
+    runtimes: Vec<NfRt>,
     /// One agent instance: sequencing is trivially in-order here, but
     /// running the same core keeps the reference path identical.
     agent: AgentCore,
@@ -58,7 +60,12 @@ pub struct SyncEngine {
     handle: Arc<ProgramHandle>,
     /// Epoch-keyed table lookups for every stage dispatched inline.
     resolver: TablesResolver,
-    stats: StageStats,
+    /// Per-stage counters, in the shape of a one-merger threaded
+    /// engine's; zeroed when a session starts.
+    stats: StageSet,
+    /// The counters of every earlier session, so [`SyncEngine::stats`]
+    /// covers the engine's lifetime.
+    lifetime: EngineStats,
     /// Per-stage latency histograms and trace sampling, recorded at the
     /// same points as the threaded engine's stage threads (the sync
     /// engine's one merger instance records as `merger0`).
@@ -69,10 +76,7 @@ pub struct SyncEngine {
     /// merge deadline is zero ticks, preserving the per-packet semantics
     /// of `process()` even when a failed NF never sends its copy.
     tick: u64,
-    /// Packets delivered.
-    pub delivered: u64,
-    /// Packets dropped.
-    pub dropped: u64,
+    pub(crate) config: EngineConfig,
     /// Event-queue allocation reused across `process()` calls (the queue
     /// itself always drains before a call returns).
     scratch: VecDeque<(Target, Msg)>,
@@ -93,6 +97,21 @@ impl SyncEngine {
     /// Build an engine over a sealed `program` and NF instances ordered by
     /// `NodeId` (the same order as the compiled graph's nodes).
     pub fn new(program: Program, nfs: Vec<Box<dyn NetworkFunction>>, pool_size: usize) -> Self {
+        let config = EngineConfig {
+            pool_size,
+            ..EngineConfig::default()
+        };
+        Self::with_config(program, nfs, &config)
+    }
+
+    /// [`SyncEngine::new`] from an [`EngineConfig`]: the sync engine reads
+    /// its `pool_size`, `telemetry`, `keep_packets`, `probe` and
+    /// `io_burst`; the threading knobs do not apply.
+    pub fn with_config(
+        program: Program,
+        nfs: Vec<Box<dyn NetworkFunction>>,
+        config: &EngineConfig,
+    ) -> Self {
         assert_eq!(
             nfs.len(),
             program.nf_count(),
@@ -106,18 +125,18 @@ impl SyncEngine {
             .collect();
         let handle = Arc::new(ProgramHandle::new(program));
         Self {
-            telemetry: Telemetry::new(TelemetryConfig::default(), n_nfs, 1),
-            pool: Arc::new(PacketPool::new(pool_size)),
+            telemetry: Telemetry::new(config.telemetry.clone(), n_nfs, 1),
+            pool: Arc::new(PacketPool::new(config.pool_size)),
             classifier: Classifier::live(Arc::clone(&handle)),
             runtimes,
             agent: AgentCore::new(1),
             merger: MergerCore::new(),
             resolver: TablesResolver::new(Arc::clone(&handle)),
             handle,
-            stats: StageStats::new(),
+            stats: StageSet::new(n_nfs, 1),
+            lifetime: EngineStats::default(),
             tick: 0,
-            delivered: 0,
-            dropped: 0,
+            config: config.clone(),
             scratch: VecDeque::new(),
         }
     }
@@ -125,12 +144,6 @@ impl SyncEngine {
     /// The current program epoch.
     pub fn epoch(&self) -> u64 {
         self.handle.epoch()
-    }
-
-    /// Per-epoch completion tallies over the engine's lifetime, sorted by
-    /// epoch — every delivered or dropped packet counts under exactly one.
-    pub fn epochs(&self) -> Vec<EpochTally> {
-        self.handle.tallies()
     }
 
     /// Hot-swap to `program`: validate its footprint against the fixed
@@ -182,15 +195,11 @@ impl SyncEngine {
         self.merger.pending_len()
     }
 
-    /// Snapshot of the engine-wide counters (the sync engine is one stage).
+    /// The engine's lifetime counters, every stage folded into one set.
     pub fn stats(&self) -> StageSnapshot {
-        self.stats.snapshot()
-    }
-
-    /// Replace the telemetry configuration, resetting the recorder (the
-    /// number of NF and merger histograms is preserved).
-    pub fn set_telemetry(&mut self, config: TelemetryConfig) {
-        self.telemetry = Telemetry::new(config, self.runtimes.len(), 1);
+        let mut all = self.stats.snapshot();
+        all.merge(&self.lifetime);
+        all.fold()
     }
 
     /// Snapshot of the per-stage latency histograms and recorded traces.
@@ -198,21 +207,23 @@ impl SyncEngine {
         self.telemetry.snapshot()
     }
 
-    /// Process a batch of packets, collecting delivered outputs in order.
-    /// Admit rejects and drops both count toward `dropped`.
-    pub fn process_batch(&mut self, pkts: Vec<Packet>) -> Vec<Packet> {
-        let mut out = Vec::with_capacity(pkts.len());
-        for pkt in pkts {
-            match self.process(pkt) {
-                Ok(outcome) => {
-                    if let Some(p) = outcome.delivered() {
-                        out.push(p);
-                    }
-                }
-                Err(_) => self.dropped += 1,
+    /// Export each NF's per-flow state, one [`FlowSnapshot`] per NF
+    /// position, as [`crate::Engine::export_flow_state`] does.
+    pub fn export_flow_state(&self) -> Vec<FlowSnapshot> {
+        self.runtimes
+            .iter()
+            .map(|rt| rt.nf().snapshot_state())
+            .collect()
+    }
+
+    /// Restore per-position snapshots, as
+    /// [`crate::Engine::import_flow_state`] does.
+    pub fn import_flow_state(&mut self, snaps: &[FlowSnapshot]) {
+        for (rt, snap) in self.runtimes.iter_mut().zip(snaps) {
+            if !snap.is_empty() {
+                rt.nf_mut().restore_state(snap);
             }
         }
-        out
     }
 
     /// Process one packet through the whole graph. The packet is pinned to
@@ -228,7 +239,7 @@ impl SyncEngine {
             pkt,
             &self.pool,
             &mut sink,
-            &self.stats,
+            &self.stats.classifier,
             Some(&self.telemetry),
         ) {
             self.scratch = sink.events;
@@ -243,7 +254,8 @@ impl SyncEngine {
                         // Resolve the NF's config by the packet's stamped
                         // epoch — identical to the threaded NF threads.
                         let e = self.pool.with(msg.r, |p| p.meta().epoch());
-                        let tables = self.resolver.get(e, &self.stats);
+                        let stats = &self.stats.nfs[id];
+                        let tables = self.resolver.get(e, stats);
                         self.telemetry.trace_ref(Stage::Nf(id), &self.pool, msg.r);
                         let t0 = self.telemetry.clock();
                         self.runtimes[id].handle_with(
@@ -251,7 +263,7 @@ impl SyncEngine {
                             msg,
                             &self.pool,
                             &mut sink,
-                            &self.stats,
+                            stats,
                         );
                         self.telemetry.record(Stage::Nf(id), t0);
                     }
@@ -263,9 +275,10 @@ impl SyncEngine {
                         let mut msg = msg;
                         self.telemetry.trace_ref(Stage::Agent, &self.pool, msg.r);
                         let t0 = self.telemetry.clock();
+                        let agent_stats = &self.stats.agent;
                         let _instance =
                             self.agent
-                                .route(&mut msg, &self.pool, &mut self.resolver, &self.stats);
+                                .route(&mut msg, &self.pool, &mut self.resolver, agent_stats);
                         self.telemetry.record(Stage::Agent, t0);
                         self.telemetry
                             .trace_ref(Stage::Merger(0), &self.pool, msg.r);
@@ -274,7 +287,7 @@ impl SyncEngine {
                             msg,
                             &self.pool,
                             &mut self.resolver,
-                            &self.stats,
+                            &self.stats.mergers[0],
                             self.tick,
                         );
                         self.telemetry.record(Stage::Merger(0), t0);
@@ -284,7 +297,7 @@ impl SyncEngine {
                                 &self.pool,
                                 &mut self.resolver,
                                 &mut sink,
-                                &self.stats,
+                                agent_stats,
                             );
                             if !drops.is_empty() {
                                 was_dropped = true;
@@ -293,7 +306,7 @@ impl SyncEngine {
                     }
                     Target::Output => {
                         let t0 = self.telemetry.clock();
-                        let pkt = collector::collect(msg, &self.pool, &self.stats);
+                        let pkt = collector::collect(msg, &self.pool, &self.stats.collector);
                         self.telemetry.record(Stage::Collector, t0);
                         self.telemetry
                             .hop_if_traced(Stage::Collector, pkt.meta(), pkt.is_nil());
@@ -307,9 +320,12 @@ impl SyncEngine {
             // so it has hit the zero-tick deadline: resolve it from the
             // copies that arrived. Partial forwards enqueue the merge
             // spec's next actions, so loop until expiry yields nothing.
-            let outcomes =
-                self.merger
-                    .expire(self.tick, &self.pool, &mut self.resolver, &self.stats);
+            let outcomes = self.merger.expire(
+                self.tick,
+                &self.pool,
+                &mut self.resolver,
+                &self.stats.mergers[0],
+            );
             if outcomes.is_empty() {
                 break;
             }
@@ -319,7 +335,7 @@ impl SyncEngine {
                     &self.pool,
                     &mut self.resolver,
                     &mut sink,
-                    &self.stats,
+                    &self.stats.agent,
                 );
                 if !drops.is_empty() {
                     was_dropped = true;
@@ -337,16 +353,12 @@ impl SyncEngine {
         self.scratch = sink.events;
         self.handle.finish(epoch);
         match output {
-            Some(p) => {
-                self.delivered += 1;
-                Ok(ProcessOutcome::Delivered(Box::new(p)))
-            }
+            Some(p) => Ok(ProcessOutcome::Delivered(Box::new(p))),
             None => {
                 debug_assert!(
                     was_dropped || self.pool.in_use() == 0,
                     "no output and no drop: leaked references"
                 );
-                self.dropped += 1;
                 Ok(ProcessOutcome::Dropped)
             }
         }
@@ -357,84 +369,127 @@ impl SyncEngine {
         self.pool.in_use()
     }
 
-    /// Stream an [`Ingress`] through the engine and emit every delivered
-    /// packet to `egress`, in `burst`-sized pulls, until the source ends.
-    /// The fully-streaming counterpart of [`SyncEngine::process_batch`]:
-    /// delivered frames leave through the egress as soon as they merge,
-    /// never accumulating in memory.
+    /// Run one session over `packets` and report, as
+    /// [`crate::Engine::run`] does.
+    pub fn run(&mut self, packets: Vec<Packet>) -> EngineReport {
+        let burst = self.config.io_burst;
+        self.stream(&mut VecIngress::new(packets), burst, None).0
+    }
+
+    /// Stream an [`Ingress`] through the engine in `burst`-sized pulls
+    /// until the source ends, emitting each burst's deliveries to
+    /// `egress` as soon as it is processed — also when the ingress
+    /// failed, see [`crate::engine::finish_io`].
     pub fn run_io(
         &mut self,
         ingress: &mut dyn Ingress,
         egress: &mut dyn Egress,
         burst: usize,
     ) -> Result<IoRunStats, IoError> {
-        let mut io = IoRunStats::default();
-        let mut out: Vec<Packet> = Vec::with_capacity(burst.max(1));
-        while let Some(pkts) = ingress.next_burst(burst.max(1))? {
-            io.pulled += pkts.len() as u64;
+        let (report, err) = self.stream(ingress, burst, Some(&mut *egress));
+        finish_io(report, err, egress, false).map(|(_, io)| io)
+    }
+
+    /// One session over `ingress`. Like a threaded session it starts from
+    /// what a freshly built engine would — failure state cleared, stage
+    /// counters and telemetry zeroed — and only NF flow state carries
+    /// over. Each burst's deliveries go to `egress` once the burst is
+    /// processed, so they never pile up; without one they stay in the
+    /// report when `keep_packets` is set. Returns the report of every
+    /// packet pulled and the ingress (or egress) error that ended the
+    /// stream, if any. With a probe configured, the session's gauges are
+    /// published after every packet.
+    pub(crate) fn stream(
+        &mut self,
+        ingress: &mut dyn Ingress,
+        burst: usize,
+        mut egress: Option<&mut dyn Egress>,
+    ) -> (EngineReport, Option<IoError>) {
+        let started = Instant::now();
+        self.lifetime.merge(&self.stats.snapshot());
+        self.stats.reset();
+        self.telemetry.reset();
+        let current = self.handle.current();
+        let runtimes = std::mem::take(&mut self.runtimes).into_iter();
+        self.runtimes = runtimes
+            .zip(current.tables().nf_configs.iter().cloned())
+            .map(|(rt, cfg)| NfRuntime::new(rt.into_nf(), cfg))
+            .collect();
+        let gauges = self.config.probe.as_ref().map(|p| p.register());
+        if let Some(g) = &gauges {
+            // One packet in flight at a time.
+            let slots = current.program().slots_per_packet() as u64;
+            g.pool_budget.store(slots, Ordering::Relaxed);
+            g.active.store(true, Ordering::Release);
+        }
+        let keep = egress.is_none() && self.config.keep_packets;
+        let (mut injected, mut delivered, mut dropped) = (0, 0, 0);
+        let (mut packets, mut out) = (Vec::new(), Vec::new());
+        let err = loop {
+            let pkts = match ingress.next_burst(burst.max(1)) {
+                Ok(Some(pkts)) => pkts,
+                Ok(None) => break None,
+                Err(e) => break Some(e),
+            };
             for pkt in pkts {
+                injected += 1;
                 match self.process(pkt) {
-                    Ok(ProcessOutcome::Delivered(p)) => out.push(*p),
-                    Ok(ProcessOutcome::Dropped) => io.dropped += 1,
-                    Err(_) => {
-                        // Terminal admit rejects (malformed, no match)
-                        // are already counted in the stage stats; pool
-                        // exhaustion cannot happen in the closed
-                        // one-at-a-time loop.
-                        self.dropped += 1;
-                        io.rejected += 1;
+                    Ok(ProcessOutcome::Delivered(p)) => {
+                        delivered += 1;
+                        out.push(*p);
                     }
+                    // Admit rejects count as drops, as in the threaded
+                    // engines (the stage counters tell them apart).
+                    _ => dropped += 1,
+                }
+                if let Some(g) = &gauges {
+                    let pool = self.pool.in_use() as u64;
+                    g.publish(injected, delivered, dropped, pool, self.handle.epoch());
                 }
             }
             if !out.is_empty() {
-                io.delivered += out.len() as u64;
-                egress.emit_burst(&out)?;
+                if let Some(Err(e)) = egress.as_mut().map(|eg| eg.emit_burst(&out)) {
+                    break Some(e);
+                }
+                if keep {
+                    packets.append(&mut out);
+                }
                 out.clear();
             }
+        };
+        if let Some(g) = &gauges {
+            g.active.store(false, Ordering::Release);
         }
-        egress.flush()?;
-        Ok(io)
+        let report = EngineReport {
+            injected,
+            delivered,
+            dropped,
+            elapsed: started.elapsed(),
+            latency: None,
+            packets,
+            stats: self.stats.snapshot(),
+            failures: (self.runtimes.iter().enumerate())
+                .filter_map(|(node, rt)| NfFailure::of(node, rt))
+                .collect(),
+            pool_in_use: self.pool.in_use(),
+            epoch: self.handle.epoch(),
+            epochs: self.handle.tallies(),
+            telemetry: self.telemetry.snapshot(),
+            migration: MigrationStats::default(),
+        };
+        (report, err)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nfp_nf::firewall::Firewall;
-    use nfp_nf::lb::LoadBalancer;
-    use nfp_nf::monitor::Monitor;
-    use nfp_nf::vpn::{Vpn, VpnMode};
-    use nfp_orchestrator::{compile, CompileOptions, Registry};
+    use crate::testkit::chain_program;
     use nfp_packet::ipv4::Ipv4Addr;
-    use nfp_policy::Policy;
 
     fn engine_for(chain: &[&str]) -> SyncEngine {
-        let reg = Registry::paper_table2();
-        let compiled = compile(
-            &Policy::from_chain(chain.iter().copied()),
-            &reg,
-            &[],
-            &CompileOptions::default(),
-        )
-        .unwrap();
-        let program = compiled.program(1).unwrap();
-        let nfs: Vec<Box<dyn NetworkFunction>> = compiled
-            .graph
-            .nodes
-            .iter()
-            .map(|n| instantiate(n.name.as_str()))
-            .collect();
+        let (program, nfs) = chain_program(chain);
         SyncEngine::new(program, nfs, 64)
-    }
-
-    fn instantiate(name: &str) -> Box<dyn NetworkFunction> {
-        match name {
-            "Monitor" => Box::new(Monitor::new(name)),
-            "Firewall" => Box::new(Firewall::with_synthetic_acl(name, 100)),
-            "LoadBalancer" => Box::new(LoadBalancer::with_uniform_backends(name, 4)),
-            "VPN" => Box::new(Vpn::new(name, [7u8; 16], 42, VpnMode::Encapsulate)),
-            other => panic!("no instantiation for {other}"),
-        }
     }
 
     fn pkt(dport: u16) -> Packet {
@@ -453,7 +508,17 @@ mod tests {
         let out = e.process(pkt(80)).unwrap().delivered().unwrap();
         assert_eq!(out.dport().unwrap(), 80);
         assert_eq!(e.pool_in_use(), 0, "no leaks");
-        assert_eq!(e.delivered, 1);
+        // A session reports like a one-merger threaded engine.
+        let report = e.run(vec![pkt(80), pkt(81)]);
+        assert_eq!(
+            (report.injected, report.delivered, report.dropped),
+            (2, 2, 0)
+        );
+        assert_eq!((report.stats.nfs.len(), report.stats.mergers.len()), (2, 1));
+        assert_eq!(report.stats.classifier.packets_in, 2);
+        assert_eq!(report.stats.collector.packets_out, 2);
+        // `stats()` folds every stage over both sessions.
+        assert!(e.stats().packets_in > report.stats.fold().packets_in);
     }
 
     #[test]
@@ -463,10 +528,11 @@ mod tests {
         let mut p = pkt(7003);
         p.set_dip(Ipv4Addr::new(172, 16, 3, 9)).unwrap();
         p.finalize_checksums().unwrap();
-        let out = e.process(p).unwrap();
+        let out = e.process(p.clone()).unwrap();
         assert!(matches!(out, ProcessOutcome::Dropped));
         assert_eq!(e.pool_in_use(), 0);
-        assert_eq!(e.dropped, 1);
+        let report = e.run(vec![p]);
+        assert_eq!((report.delivered, report.dropped), (0, 1));
     }
 
     #[test]
@@ -497,11 +563,17 @@ mod tests {
     #[test]
     fn many_packets_no_leaks() {
         let mut e = engine_for(&["Monitor", "LoadBalancer"]);
+        let mut delivered = 0;
         for i in 0..200u16 {
-            let _ = e.process(pkt(80 + i % 50)).unwrap();
+            delivered += e
+                .process(pkt(80 + i % 50))
+                .unwrap()
+                .delivered()
+                .iter()
+                .count();
             assert_eq!(e.pool_in_use(), 0, "packet {i}");
         }
-        assert_eq!(e.delivered, 200);
+        assert_eq!(delivered, 200);
         // The monitor saw every packet exactly once.
         let mon = e.runtime(0);
         assert_eq!(mon.processed, 200);

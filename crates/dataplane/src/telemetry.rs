@@ -104,16 +104,6 @@ impl LatencyHistogram {
         atomic_max(&self.max_ns, ns);
     }
 
-    /// Record the elapsed time since `t0`, if a clock was taken
-    /// ([`Telemetry::clock`] returns `None` when histograms are off, and
-    /// then this is a no-op).
-    #[inline]
-    pub fn record_from(&self, t0: Option<Instant>) {
-        if let Some(t0) = t0 {
-            self.record_ns(t0.elapsed().as_nanos() as u64);
-        }
-    }
-
     /// Record `n` observations that together took `total_ns`, using the
     /// burst's mean as the representative sample. This is the
     /// burst-amortized path: one clock pair per burst instead of one per

@@ -21,6 +21,7 @@ use nfp_dataplane::stats::StageStats;
 use nfp_dataplane::swap::{ProgramHandle, TablesResolver};
 use nfp_dataplane::sync_engine::{ProcessOutcome, SyncEngine};
 use nfp_dataplane::telemetry::TelemetryConfig;
+use nfp_dataplane::EngineConfig;
 use nfp_nf::lb::LoadBalancer;
 use nfp_nf::monitor::Monitor;
 use nfp_nf::vpn::{Vpn, VpnMode};
@@ -31,12 +32,23 @@ use nfp_packet::{Metadata, Packet, PacketPool};
 use nfp_policy::Policy;
 use std::sync::Arc;
 
-fn full_sampling() -> TelemetryConfig {
-    TelemetryConfig {
+/// A sync engine that traces every packet.
+fn sampled_sync(
+    program: Program,
+    nfs: Vec<Box<dyn NetworkFunction>>,
+    pool_size: usize,
+) -> SyncEngine {
+    let telemetry = TelemetryConfig {
         histograms: true,
         trace_every: 1,
         trace_capacity: 1024,
-    }
+    };
+    let config = EngineConfig {
+        pool_size,
+        telemetry,
+        ..EngineConfig::default()
+    };
+    SyncEngine::with_config(program, nfs, &config)
 }
 
 fn compile_program(chain: &[&str]) -> Program {
@@ -75,8 +87,7 @@ fn admit_malformed_bumps_only_its_counter() {
             "Firewall", 100,
         )),
     ];
-    let mut engine = SyncEngine::new(program, nfs, 64);
-    engine.set_telemetry(full_sampling());
+    let mut engine = sampled_sync(program, nfs, 64);
 
     // Three garbage frames: parse fine as raw bytes, refuse to classify.
     for _ in 0..3 {
@@ -121,8 +132,7 @@ fn truncated_frame_distinct_error_same_malformed_counter() {
             "Firewall", 100,
         )),
     ];
-    let mut engine = SyncEngine::new(program, nfs, 64);
-    engine.set_telemetry(full_sampling());
+    let mut engine = sampled_sync(program, nfs, 64);
 
     let whole = valid_frame(443);
     for cut in [8usize, 20, 33] {
@@ -168,8 +178,7 @@ fn nf_error_bumps_only_its_counter() {
         Box::new(Monitor::new("Monitor")),
         Box::new(LoadBalancer::with_uniform_backends("LoadBalancer", 4)),
     ];
-    let mut engine = SyncEngine::new(program, nfs, 1);
-    engine.set_telemetry(full_sampling());
+    let mut engine = sampled_sync(program, nfs, 1);
 
     let outcome = engine.process(valid_frame(443)).unwrap();
     assert!(matches!(outcome, ProcessOutcome::Dropped));

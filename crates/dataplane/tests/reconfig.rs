@@ -105,21 +105,18 @@ proptest! {
         let k = ((n as f64) * split_frac) as usize;
         let mut e = SyncEngine::new(base_program(0), nfs(), 64);
         let pkts = traffic(n, flows);
-        for p in &pkts[..k] {
-            e.process(p.clone()).unwrap();
-        }
+        let first = e.run(pkts[..k].to_vec());
         prop_assert_eq!(e.epoch(), 0);
         let report = e.reconfigure(policy_edit(1)).unwrap();
         prop_assert_eq!(report.from_epoch, 0);
         prop_assert_eq!(report.to_epoch, 1);
         prop_assert_eq!(report.drained, 0, "sync engine idle between packets");
-        for p in &pkts[k..] {
-            e.process(p.clone()).unwrap();
-        }
+        let second = e.run(pkts[k..].to_vec());
         prop_assert_eq!(e.epoch(), 1);
-        prop_assert_eq!(e.delivered + e.dropped, n as u64);
+        let finished = first.delivered + first.dropped + second.delivered + second.dropped;
+        prop_assert_eq!(finished, n as u64);
         prop_assert_eq!(e.pool_in_use(), 0, "no leaked slots across the swap");
-        let tallies = e.epochs();
+        let tallies = second.epochs;
         prop_assert_eq!(tallies.len(), 2);
         prop_assert_eq!(tallies[0].epoch, 0);
         prop_assert_eq!(tallies[0].completed, k as u64);
@@ -165,6 +162,12 @@ fn live_swap_mid_run_loses_nothing() {
     assert_eq!(total, 3000);
 }
 
+/// The packets `pkts` deliver through `e`, in order.
+fn delivered(e: &mut SyncEngine, pkts: Vec<Packet>) -> Vec<Packet> {
+    let outcomes = pkts.into_iter().map(|p| e.process(p).unwrap());
+    outcomes.filter_map(|o| o.delivered()).collect()
+}
+
 /// An engine that processed traffic, got a rejected update, and processes
 /// more traffic behaves byte-for-byte like one that never saw the update.
 #[test]
@@ -174,8 +177,8 @@ fn rejected_update_leaves_engine_byte_for_byte_untouched() {
     let mut probed = SyncEngine::new(base_program(0), nfs(), 64);
     let first: Vec<Packet> = pkts[..40].to_vec();
     let rest: Vec<Packet> = pkts[40..].to_vec();
-    let mut out_control = control.process_batch(first.clone());
-    let mut out_probed = probed.process_batch(first);
+    let mut out_control = delivered(&mut control, first.clone());
+    let mut out_probed = delivered(&mut probed, first);
 
     // Topology change → structured rejection; stale epoch → ditto.
     let err = probed.reconfigure(sequential_program(1)).unwrap_err();
@@ -193,8 +196,8 @@ fn rejected_update_leaves_engine_byte_for_byte_untouched() {
     ));
     assert_eq!(probed.epoch(), 0, "running epoch untouched");
 
-    out_control.extend(control.process_batch(rest.clone()));
-    out_probed.extend(probed.process_batch(rest));
+    out_control.extend(delivered(&mut control, rest.clone()));
+    out_probed.extend(delivered(&mut probed, rest));
     assert_eq!(out_control.len(), out_probed.len());
     for (c, p) in out_control.iter().zip(&out_probed) {
         assert_eq!(c.data(), p.data(), "outputs diverged after rejection");

@@ -101,10 +101,15 @@ pub fn packet_from_record(rec: &PcapRecord) -> Result<Packet, IoError> {
 }
 
 /// Classic-pcap file/stream replay ingress.
+///
+/// A record that fails to decode ends the stream, but never costs the
+/// records decoded before it: the burst it cuts short is returned as is,
+/// and the error on the next call.
 #[derive(Debug)]
 pub struct PcapIngress<R: Read> {
     reader: PcapReader<R>,
     done: bool,
+    error: Option<IoError>,
     records: u64,
 }
 
@@ -132,6 +137,7 @@ impl<R: Read> PcapIngress<R> {
         Ok(Self {
             reader: PcapReader::new(r)?,
             done: false,
+            error: None,
             records: 0,
         })
     }
@@ -144,18 +150,30 @@ impl<R: Read> PcapIngress<R> {
 
 impl<R: Read> Ingress for PcapIngress<R> {
     fn next_burst(&mut self, max: usize) -> Result<Option<Vec<Packet>>, IoError> {
+        if let Some(e) = self.error.take() {
+            return Err(e);
+        }
         if self.done {
             return Ok(None);
         }
         let mut out = Vec::with_capacity(max.max(1));
         while out.len() < max.max(1) {
-            match self.reader.next_record()? {
-                Some(rec) => {
-                    out.push(packet_from_record(&rec)?);
+            let rec = self.reader.next_record();
+            match rec.and_then(|rec| rec.map(|r| packet_from_record(&r)).transpose()) {
+                Ok(Some(pkt)) => {
+                    out.push(pkt);
                     self.records += 1;
                 }
-                None => {
+                Ok(None) => {
                     self.done = true;
+                    break;
+                }
+                Err(e) => {
+                    self.done = true;
+                    if out.is_empty() {
+                        return Err(e);
+                    }
+                    self.error = Some(e);
                     break;
                 }
             }
@@ -307,6 +325,17 @@ mod tests {
         assert_eq!(rest.len(), 2);
         assert!(ing.next_burst(1).unwrap().is_none());
         assert_eq!(ing.records(), 5);
+    }
+
+    #[test]
+    fn pcap_ingress_returns_the_decoded_prefix_before_the_error() {
+        let bytes = write_pcap_bytes(&frames(5), PcapFormat::default());
+        // Cut the last record's data short.
+        let mut ing = PcapIngress::from_bytes(bytes[..bytes.len() - 3].to_vec()).unwrap();
+        assert_eq!(ing.next_burst(16).unwrap().unwrap().len(), 4);
+        assert!(matches!(ing.next_burst(16), Err(IoError::Format { .. })));
+        assert!(ing.next_burst(16).unwrap().is_none());
+        assert_eq!(ing.records(), 4);
     }
 
     #[test]

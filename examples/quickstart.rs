@@ -56,22 +56,24 @@ fn main() {
         sizes: SizeDistribution::Fixed(128),
         ..TrafficSpec::default()
     });
+    let (mut delivered, mut dropped) = (0, 0);
     for i in 0..5 {
         let pkt = gen.next_packet();
         let before = pkt.five_tuple().unwrap();
         match engine.process(pkt).unwrap().delivered() {
             Some(out) => {
+                delivered += 1;
                 let after = out.five_tuple().unwrap();
                 println!(
                     "pkt {i}: {}:{} -> {}:{}  became  {}:{} -> {}:{}  (LB rewrote the addresses)",
                     before.0, before.2, before.1, before.3, after.0, after.2, after.1, after.3
                 );
             }
-            None => println!("pkt {i}: dropped"),
+            None => {
+                dropped += 1;
+                println!("pkt {i}: dropped");
+            }
         }
     }
-    println!(
-        "\ndelivered={} dropped={}",
-        engine.delivered, engine.dropped
-    );
+    println!("\ndelivered={delivered} dropped={dropped}");
 }

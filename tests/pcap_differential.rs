@@ -9,9 +9,9 @@
 //!    drift silently; regenerate with
 //!    `cargo run -p nfp-io --bin golden_trace -- tests/data` and this
 //!    test fails first on any deliberate change.
-//! 2. **Cross-engine differential** — the same trace through
-//!    [`SyncEngine`] (deterministic reference), the threaded [`Engine`]
-//!    and the RSS [`ShardedEngine`] must produce identical delivered
+//! 2. **Cross-engine differential** — the same trace through every
+//!    [`EngineSpec`]: the sync engine (deterministic reference), the
+//!    threaded engine and the RSS fleet must produce identical delivered
 //!    *byte multisets* and identical drop taxonomies (per
 //!    [`StageSnapshot`] drop cause), for order-insensitive chains.
 //!    Cross-flow output order is the one freedom parallel execution
@@ -19,13 +19,16 @@
 //! 3. **Mid-replay reconfigure** — the agreement must survive a live
 //!    `reconfigure()` landing between two replay windows, cycling the
 //!    soak harness's fail-closed/fail-open program variants.
+//! 4. **Cut trace** — a capture cut mid-record fails every engine with
+//!    the same error, after delivering what the intact prefix delivers.
 
 use nfp_core::prelude::*;
 use nfp_dataplane::stats::StageSnapshot;
-use nfp_dataplane::sync_engine::SyncEngine;
+use nfp_dataplane::{Dataplane, EngineKind, EngineSpec};
 use nfp_io::backends::packet_from_record;
+use nfp_io::pcap::{write_pcap_bytes, PcapFormat};
 use nfp_io::trace::{build_golden_pcap, GoldenTraceSpec};
-use nfp_io::{CollectEgress, PcapIngress, PcapReader, VecIngress};
+use nfp_io::{CollectEgress, IoError, PcapIngress, PcapReader, VecIngress};
 
 const MIXED: &[u8] = include_bytes!("data/golden_mixed.pcap");
 const CLEAN: &[u8] = include_bytes!("data/golden_clean.pcap");
@@ -95,13 +98,21 @@ fn nfs_for(names: &[String]) -> Vec<Box<dyn NetworkFunction>> {
     names.iter().map(|n| make(n.as_str())).collect()
 }
 
-fn config() -> EngineConfig {
-    EngineConfig {
-        pool_size: 256,
-        max_in_flight: 16,
-        io_burst: 16,
-        ..EngineConfig::default()
-    }
+/// Every engine under test, pulling `io_burst` packets at a time.
+fn specs(io_burst: usize) -> [EngineSpec; 4] {
+    use EngineKind::*;
+    [Sync, Threaded, Sharded(2), Sharded(3)].map(|kind| {
+        let mut config = EngineConfig {
+            pool_size: 256 * kind.shards(),
+            max_in_flight: 16,
+            io_burst,
+            ..EngineConfig::default()
+        };
+        if let Sharded(n) = kind {
+            config.core_budget = 2 * n;
+        }
+        EngineSpec { kind, config }
+    })
 }
 
 /// The drop-cause taxonomy of a stage snapshot, as a comparable tuple.
@@ -118,21 +129,6 @@ fn taxonomy(s: &StageSnapshot) -> [u64; 8] {
     ]
 }
 
-/// Fold a threaded-engine report's per-stage snapshots into one, the
-/// same shape the sync engine's single shared counter set has.
-fn folded_taxonomy(report: &EngineReport) -> [u64; 8] {
-    let mut all = report.stats.classifier;
-    for nf in &report.stats.nfs {
-        all.absorb(nf);
-    }
-    all.absorb(&report.stats.agent);
-    for m in &report.stats.mergers {
-        all.absorb(m);
-    }
-    all.absorb(&report.stats.collector);
-    taxonomy(&all)
-}
-
 /// Delivered packets as a sorted byte multiset (cross-flow order is the
 /// engines' one legitimate freedom).
 fn multiset(pkts: &[Packet]) -> Vec<Vec<u8>> {
@@ -141,7 +137,12 @@ fn multiset(pkts: &[Packet]) -> Vec<Vec<u8>> {
     v
 }
 
-/// One engine family's replay result, reduced to what must agree.
+fn build(spec: &EngineSpec, program: &Program, names: &[String]) -> Dataplane {
+    let names = names.to_vec();
+    Dataplane::build(spec, program.clone(), move || nfs_for(&names)).unwrap()
+}
+
+/// One replay, reduced to what must agree across engines.
 struct Outcome {
     delivered: Vec<Vec<u8>>,
     taxonomy: [u64; 8],
@@ -149,68 +150,17 @@ struct Outcome {
     rejected: u64,
 }
 
-fn replay_sync(chain: &[&str], trace: &[u8]) -> Outcome {
+fn replay(spec: &EngineSpec, chain: &[&str], trace: &[u8]) -> Outcome {
     let (program, names) = compile_chain(chain, false);
-    let mut engine = SyncEngine::new(program, nfs_for(&names), 64);
-    let mut ingress = PcapIngress::from_bytes(trace.to_vec()).unwrap();
-    let mut egress = CollectEgress::new();
-    let io = engine.run_io(&mut ingress, &mut egress, 16).unwrap();
-    assert_eq!(
-        io.pulled,
-        io.delivered + io.dropped + io.rejected,
-        "sync accounting"
-    );
-    Outcome {
-        delivered: multiset(&egress.pkts),
-        taxonomy: taxonomy(&engine.stats()),
-        pulled: io.pulled,
-        rejected: io.rejected,
-    }
-}
-
-fn replay_threaded(chain: &[&str], trace: &[u8]) -> Outcome {
-    let (program, names) = compile_chain(chain, false);
-    let mut engine = Engine::new(program, nfs_for(&names), config()).unwrap();
+    let mut engine = build(spec, &program, &names);
     let mut ingress = PcapIngress::from_bytes(trace.to_vec()).unwrap();
     let mut egress = CollectEgress::new();
     let (report, io) = engine.run_io(&mut ingress, &mut egress).unwrap();
-    assert_eq!(
-        io.pulled,
-        io.delivered + io.dropped + io.rejected,
-        "threaded accounting"
-    );
+    let accounted = io.delivered + io.dropped + io.rejected;
+    assert_eq!(io.pulled, accounted, "{:?} accounting", spec.kind);
     Outcome {
         delivered: multiset(&egress.pkts),
-        taxonomy: folded_taxonomy(&report),
-        pulled: io.pulled,
-        rejected: io.rejected,
-    }
-}
-
-fn replay_sharded(chain: &[&str], trace: &[u8], shards: usize) -> Outcome {
-    let (program, names) = compile_chain(chain, false);
-    let mut engine = ShardedEngine::new(
-        &program,
-        move || nfs_for(&names),
-        &EngineConfig {
-            pool_size: 256 * shards,
-            core_budget: 2 * shards,
-            ..config()
-        },
-        shards,
-    )
-    .unwrap();
-    let mut ingress = PcapIngress::from_bytes(trace.to_vec()).unwrap();
-    let mut egress = CollectEgress::new();
-    let (report, io) = engine.run_io(&mut ingress, &mut egress).unwrap();
-    assert_eq!(
-        io.pulled,
-        io.delivered + io.dropped + io.rejected,
-        "sharded accounting"
-    );
-    Outcome {
-        delivered: multiset(&egress.pkts),
-        taxonomy: folded_taxonomy(&report),
+        taxonomy: taxonomy(&report.stats.fold()),
         pulled: io.pulled,
         rejected: io.rejected,
     }
@@ -252,27 +202,24 @@ fn corpus_is_replayable_and_mixed_contains_rejects() {
 fn engines_agree_on_golden_traces() {
     for trace in [MIXED, CLEAN] {
         for chain in CHAINS {
-            let sync = replay_sync(chain, trace);
-            let threaded = replay_threaded(chain, trace);
-            let sharded2 = replay_sharded(chain, trace, 2);
-            let sharded3 = replay_sharded(chain, trace, 3);
-            for (label, other) in [
-                ("threaded", &threaded),
-                ("sharded x2", &sharded2),
-                ("sharded x3", &sharded3),
-            ] {
-                assert_eq!(sync.pulled, other.pulled, "{label} pulled, chain {chain:?}");
+            let outcomes = specs(16).map(|spec| (spec.kind, replay(&spec, chain, trace)));
+            let [(_, sync), others @ ..] = outcomes;
+            for (kind, other) in &others {
+                assert_eq!(
+                    sync.pulled, other.pulled,
+                    "{kind:?} pulled, chain {chain:?}"
+                );
                 assert_eq!(
                     sync.rejected, other.rejected,
-                    "{label} admission rejects diverge, chain {chain:?}"
+                    "{kind:?} admission rejects diverge, chain {chain:?}"
                 );
                 assert_eq!(
                     sync.taxonomy, other.taxonomy,
-                    "{label} drop taxonomy diverges, chain {chain:?}"
+                    "{kind:?} drop taxonomy diverges, chain {chain:?}"
                 );
                 assert_eq!(
                     sync.delivered, other.delivered,
-                    "{label} delivered byte-set diverges, chain {chain:?}"
+                    "{kind:?} delivered byte-set diverges, chain {chain:?}"
                 );
             }
             // The mixed trace must actually exercise every interesting
@@ -296,8 +243,8 @@ fn engines_agree_on_golden_traces() {
 
 /// Split the mixed trace's packets in two replay windows with a live
 /// `reconfigure()` between them (soak-style fail-closed → fail-open
-/// Firewall table edit). Every engine family applies the same swap at
-/// the same trace position, so their outputs must still agree.
+/// Firewall table edit). Every engine applies the same swap at the same
+/// trace position, so their outputs must still agree.
 #[test]
 fn engines_agree_across_mid_replay_reconfigure() {
     let chain: &[&str] = &["Monitor", "Firewall", "IDS"];
@@ -313,82 +260,54 @@ fn engines_agree_across_mid_replay_reconfigure() {
     let (base_program, names) = compile_chain(chain, false);
     let (edit_program, _) = compile_chain(chain, true);
 
-    // Sync reference.
-    let (sync_bytes, sync_tax) = {
-        let mut engine = SyncEngine::new(base_program.clone(), nfs_for(&names), 64);
+    let [(_, sync_bytes, sync_tax), others @ ..] = specs(16).map(|spec| {
+        let mut engine = build(&spec, &base_program, &names);
         let mut egress = CollectEgress::new();
         let mut first = VecIngress::new(pkts[..half].to_vec());
-        engine.run_io(&mut first, &mut egress, 16).unwrap();
+        let (mut report, _) = engine.run_io(&mut first, &mut egress).unwrap();
         engine
             .reconfigure(edit_program.clone().with_epoch(engine.epoch() + 1))
             .unwrap();
         let mut second = VecIngress::new(pkts[half..].to_vec());
-        engine.run_io(&mut second, &mut egress, 16).unwrap();
-        (multiset(&egress.pkts), taxonomy(&engine.stats()))
-    };
-
-    // Threaded engine.
-    let (thr_bytes, thr_tax) = {
-        let mut engine = Engine::new(base_program.clone(), nfs_for(&names), config()).unwrap();
-        let mut egress = CollectEgress::new();
-        let mut first = VecIngress::new(pkts[..half].to_vec());
-        let (r1, _) = engine.run_io(&mut first, &mut egress).unwrap();
-        engine
-            .reconfigure(edit_program.clone().with_epoch(engine.epoch() + 1))
-            .unwrap();
-        let mut second = VecIngress::new(pkts[half..].to_vec());
-        let (r2, _) = engine.run_io(&mut second, &mut egress).unwrap();
-        let mut tax = [0u64; 8];
-        for (t, (a, b)) in tax
-            .iter_mut()
-            .zip(folded_taxonomy(&r1).iter().zip(folded_taxonomy(&r2).iter()))
-        {
-            *t = a + b;
-        }
-        (multiset(&egress.pkts), tax)
-    };
-
-    // Sharded fleet (2 shards).
-    let (shard_bytes, shard_tax) = {
-        let names = names.clone();
-        let mut engine = ShardedEngine::new(
-            &base_program,
-            move || nfs_for(&names),
-            &EngineConfig {
-                pool_size: 512,
-                core_budget: 4,
-                ..config()
-            },
-            2,
-        )
-        .unwrap();
-        let mut egress = CollectEgress::new();
-        let mut first = VecIngress::new(pkts[..half].to_vec());
-        let (r1, _) = engine.run_io(&mut first, &mut egress).unwrap();
-        engine
-            .reconfigure(edit_program.clone().with_epoch(r1.epoch + 1))
-            .unwrap();
-        let mut second = VecIngress::new(pkts[half..].to_vec());
-        let (r2, _) = engine.run_io(&mut second, &mut egress).unwrap();
-        let mut tax = [0u64; 8];
-        for (t, (a, b)) in tax
-            .iter_mut()
-            .zip(folded_taxonomy(&r1).iter().zip(folded_taxonomy(&r2).iter()))
-        {
-            *t = a + b;
-        }
-        (multiset(&egress.pkts), tax)
-    };
-
-    assert_eq!(
-        sync_bytes, thr_bytes,
-        "threaded diverges across reconfigure"
-    );
-    assert_eq!(
-        sync_bytes, shard_bytes,
-        "sharded diverges across reconfigure"
-    );
-    assert_eq!(sync_tax, thr_tax, "threaded taxonomy diverges");
-    assert_eq!(sync_tax, shard_tax, "sharded taxonomy diverges");
+        report.absorb(engine.run_io(&mut second, &mut egress).unwrap().0);
+        let tax = taxonomy(&report.stats.fold());
+        (spec.kind, multiset(&egress.pkts), tax)
+    });
+    for (kind, bytes, tax) in others {
+        assert_eq!(sync_bytes, bytes, "{kind:?} diverges across reconfigure");
+        assert_eq!(sync_tax, tax, "{kind:?} taxonomy diverges");
+    }
     assert!(!sync_bytes.is_empty());
+}
+
+/// The mixed trace cut mid-record: every engine, pulling 16 or 64 packets
+/// at a time, returns the reader's error — after delivering exactly what
+/// a sync replay of the intact record prefix delivers.
+#[test]
+fn cut_trace_fails_alike_after_delivering_the_intact_prefix() {
+    let cut = &MIXED[..MIXED.len() * 3 / 4 + 7];
+    let mut reader = PcapReader::new(std::io::Cursor::new(cut.to_vec())).unwrap();
+    let mut intact = Vec::new();
+    let want = loop {
+        match reader.next_record() {
+            Ok(Some(rec)) => intact.push(rec),
+            Ok(None) => panic!("the cut must fall inside a record"),
+            Err(e) => break e,
+        }
+    };
+    assert!(matches!(want, IoError::Format { .. }), "{want:?}");
+    let chain: &[&str] = &["Monitor", "Firewall"];
+    let prefix = write_pcap_bytes(&intact, PcapFormat::default());
+    let expected = replay(&specs(16)[0], chain, &prefix).delivered;
+    assert!(!expected.is_empty());
+    let (program, names) = compile_chain(chain, false);
+    for spec in specs(16).into_iter().chain(specs(64)) {
+        let mut engine = build(&spec, &program, &names);
+        let mut ingress = PcapIngress::from_bytes(cut.to_vec()).unwrap();
+        let mut egress = CollectEgress::new();
+        let err = engine.run_io(&mut ingress, &mut egress).err();
+        let label = format!("{:?} at burst {}", spec.kind, spec.config.io_burst);
+        assert_eq!(err.as_ref(), Some(&want), "{label}");
+        assert_eq!(multiset(&egress.pkts), expected, "{label} deliveries");
+    }
 }

@@ -8,7 +8,8 @@
 //! Every assertion message carries the root seed so a failure replays
 //! with `cargo run --release --bin soak --seed <N>`.
 
-use nfp_bench::soak::{run_cell, EngineKind, SoakOptions};
+use nfp_bench::soak::{run_cell, SoakOptions};
+use nfp_dataplane::EngineKind;
 
 const SEED: u64 = 0xC1_5EED;
 
@@ -16,7 +17,6 @@ fn opts() -> SoakOptions {
     SoakOptions {
         packets: 600,
         seed: SEED,
-        shards: 2,
     }
 }
 
@@ -55,7 +55,7 @@ fn combined_chaos_holds_invariants_on_every_engine() {
         // stalled NF recovers on its own). Not asserted for the sharded
         // fleet: the RSS split can keep each replica's wrapped NF under
         // its per-instance panic threshold.
-        if kind != EngineKind::Sharded {
+        if !matches!(kind, EngineKind::Sharded(_)) {
             assert!(
                 cell.nf_failures >= 1,
                 "cell {} recorded no NF failure (seed {SEED})",
@@ -78,7 +78,12 @@ fn combined_chaos_holds_invariants_on_every_engine() {
 /// invariants.
 #[test]
 fn scale_storm_migrates_state_and_balances_census() {
-    let cell = run_cell("elephant_mice", "scale_storm", EngineKind::Sharded, &opts());
+    let cell = run_cell(
+        "elephant_mice",
+        "scale_storm",
+        EngineKind::Sharded(2),
+        &opts(),
+    );
     assert!(
         cell.passed(),
         "cell {} violated invariants (replay with --seed {SEED}): {:?}",

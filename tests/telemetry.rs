@@ -96,6 +96,21 @@ fn sampled_cfg(trace_every: u64) -> TelemetryConfig {
     }
 }
 
+fn sampled_sync(
+    program: Program,
+    nfs: Vec<Box<dyn NetworkFunction>>,
+    pool_size: usize,
+    trace_every: u64,
+) -> SyncEngine {
+    let telemetry = sampled_cfg(trace_every);
+    let config = EngineConfig {
+        pool_size,
+        telemetry,
+        ..EngineConfig::default()
+    };
+    SyncEngine::with_config(program, nfs, &config)
+}
+
 /// Run the chain through the deterministic engine; returns the snapshot
 /// plus (delivered, dropped).
 fn run_sync(chain: &[&str], pkts: &[Packet], trace_every: u64) -> (TelemetrySnapshot, u64, u64) {
@@ -107,8 +122,7 @@ fn run_sync(chain: &[&str], pkts: &[Packet], trace_every: u64) -> (TelemetrySnap
         .iter()
         .map(|n| make(n.name.as_str()))
         .collect();
-    let mut engine = SyncEngine::new(program, nfs, 256);
-    engine.set_telemetry(sampled_cfg(trace_every));
+    let mut engine = sampled_sync(program, nfs, 256, trace_every);
     let mut delivered = 0u64;
     let mut dropped = 0u64;
     for pkt in pkts {
@@ -418,8 +432,7 @@ fn sync_reconfigure_keeps_traces_epoch_constant() {
     .with_epoch(2);
 
     let nfs: Vec<_> = CHAIN.iter().map(|n| make(n)).collect();
-    let mut engine = SyncEngine::new(old, nfs, 64);
-    engine.set_telemetry(sampled_cfg(1));
+    let mut engine = sampled_sync(old, nfs, 64, 1);
     let pkts = mixed_traffic(60);
     for p in &pkts[..30] {
         engine.process(p.clone()).unwrap();
